@@ -3,16 +3,20 @@
 
 Default mode: run every registered query over ``$GRAFT_SF_DIR`` (default
 ``/root/testdata/sf0.1``) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and print ONE JSON line::
+num_cpus=$RAY_GRAFT_CPUS)`` (default: the CPUs this process may run on)
+and print ONE JSON line::
 
     {"metric": "total_query_seconds", "value": N, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N}
+     "queries": {...}, "sf": ..., "num_cpus": N, "host": {...}}
 
 ``--scaling``: run the headline extraction pipeline twice in FRESH
-processes (num_cpus=8 then num_cpus=32) over the same materialized
-corpus, report docs/sec at both plus efficiency = tput(32)/(4*tput(8)).
-This is the sandbox surrogate for the north rule's N vs 4N cluster-size
-criterion (BASELINE.md).
+processes (num_cpus=1 then num_cpus=4 by default) over the same
+materialized corpus, report docs/sec at both plus efficiency =
+tput(4N)/(4*tput(N)).  This is the sandbox surrogate for the north
+rule's N vs 4N cluster-size criterion (BASELINE.md).
+
+Every record carries ``host``: CPUs, RAM and the Ray version, so a
+number is never read against a baseline from other hardware.
 
 bench.py OWNS its Ray sessions (unlike __ray_entry__.py, which must not).
 """
@@ -27,7 +31,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                          str(len(os.sched_getaffinity(0)))))
 SCALE_DOCS = int(os.environ.get("GRAFT_SCALE_DOCS", "240000"))
 SCALE_DOCS_PER_BLOCK = 200  # ~1.6s of OCR latency per task: balanced pool
 # Mock inference cost: latency-bound by default (real OCR is GPU/remote
@@ -50,6 +55,15 @@ def _consume(res) -> int:
             n += b.num_rows
         return n
     return len(res)
+
+
+def host_fingerprint() -> dict:
+    """CPUs this process may use, total RAM and the Ray version."""
+    import ray
+
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return {"cpus": len(os.sched_getaffinity(0)),
+            "ram_gb": round(ram / 2**30, 1), "ray": ray.__version__}
 
 
 def _init_ray(num_cpus: int) -> None:
@@ -93,6 +107,7 @@ def run_queries(sf_dir: str, num_cpus: int) -> None:
                 "queries": timings,
                 "sf": sf_dir,
                 "num_cpus": num_cpus,
+                "host": host_fingerprint(),
             }
         )
     )
@@ -193,11 +208,11 @@ def scaling_child(num_cpus: int, corpus: str, burn: int, latency_ms: float,
     ray.shutdown()
 
 
-def run_scaling(plan: str = "auto", legs: tuple = (8, 32)) -> None:
+def run_scaling(plan: str = "auto", legs: tuple = (1, 4)) -> None:
     """Two fresh-process runs at ``legs`` CPUs (must be N and 4N).
-    Default 8/32; ``--scaling-cpus 4 16`` is the contention-robust
-    pair on a shared 32-core host (both legs leave headroom for
-    external tenants, so the ratio measures the CODE's scaling)."""
+    Default 1/4; on a larger host pick a pair that leaves headroom for
+    other tenants (e.g. ``--scaling-cpus 4 16`` on 32 cores), so the
+    ratio measures the CODE's scaling."""
     n, n4 = legs
     if n4 != 4 * n:
         raise SystemExit(f"--scaling-cpus must be N and 4N, got {legs}")
@@ -233,28 +248,29 @@ def run_scaling(plan: str = "auto", legs: tuple = (8, 32)) -> None:
             raise SystemExit(f"scaling child (cpus={cpus}) failed")
         line = [l for l in proc.stdout.strip().splitlines() if l.startswith("{")][-1]
         results[cpus] = json.loads(line)
-    t8 = results[n]["docs_per_sec"]
-    t32 = results[n4]["docs_per_sec"]
-    eff = round(t32 / (4.0 * t8), 3)
-    s8 = results[n]["steady_docs_per_sec"]
-    s32 = results[n4]["steady_docs_per_sec"]
+    t_n = results[n]["docs_per_sec"]
+    t_4n = results[n4]["docs_per_sec"]
+    eff = round(t_4n / (4.0 * t_n), 3)
+    s_n = results[n]["steady_docs_per_sec"]
+    s_4n = results[n4]["steady_docs_per_sec"]
     print(
         json.dumps(
             {
                 "metric": "scaling_efficiency",
                 "value": eff,
                 "unit": "ratio",
-                "steady_state_efficiency": round(s32 / (4.0 * s8), 3),
+                "steady_state_efficiency": round(s_4n / (4.0 * s_n), 3),
                 "docs": SCALE_DOCS,
                 "plan": results[n4]["plan"],
                 "ocr_burn": SCALE_BURN,
                 "ocr_latency_ms": SCALE_LATENCY_MS,
-                f"docs_per_sec_{n}cpu": t8,
-                f"docs_per_sec_{n4}cpu": t32,
-                f"steady_docs_per_sec_{n}cpu": s8,
-                f"steady_docs_per_sec_{n4}cpu": s32,
+                f"docs_per_sec_{n}cpu": t_n,
+                f"docs_per_sec_{n4}cpu": t_4n,
+                f"steady_docs_per_sec_{n}cpu": s_n,
+                f"steady_docs_per_sec_{n4}cpu": s_4n,
                 f"sec_{n}cpu": results[n]["sec"],
                 f"sec_{n4}cpu": results[n4]["sec"],
+                "host": host_fingerprint(),
             }
         )
     )
@@ -272,7 +288,7 @@ def main() -> None:
                     choices=["auto", "fused", "canonical"])
     ap.add_argument("--sf-dir", default=SF_DIR)
     ap.add_argument("--scaling-cpus", type=int, nargs=2,
-                    default=[8, 32], metavar=("N", "4N"))
+                    default=[1, 4], metavar=("N", "4N"))
     args = ap.parse_args()
 
     if args.scaling_child:

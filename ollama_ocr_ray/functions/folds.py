@@ -71,45 +71,6 @@ RESIDUAL_SPLIT_TASKS = 256
 SEGMENT_FOLD_CAP = DRIVER_RESIDUAL_MAX
 
 
-# Block budget multiplier for bounded_sort (x cluster CPUs).
-SORT_BLOCKS_PER_CPU = 4
-
-
-def bounded_sort(ds, keys, *, descending=None):
-    """``Dataset.sort`` with the input block count bounded first.
-
-    Ray's sort exchange moves O(B^2) inter-block slices, measured
-    SUPER-LINEAR in block count on constant data (BASELINE r5: a
-    10M-row sort costs 1.0 s at 128 input blocks, 7.3 s at 512,
-    29.6 s at 1000, 124 s at 2000 on this host) — so a 100-TB input
-    arriving as 10^4-10^5 read blocks must coalesce before any sort,
-    or the exchange cost is set by block count rather than data size.
-    The sort is a barrier anyway, so the concat repartition adds one
-    cheap pipelined pass (the measured-faster move the extraction
-    reassembly has used since r2).  Block budget = 4 x cluster CPUs,
-    clamped to [16, 512]: parallelism is preserved because the sort
-    emits as many blocks as it receives.
-
-    OPT-IN, not auto-wired (r5 measured): a lazy Dataset's block
-    count is unknowable without executing (``num_blocks`` requires a
-    MaterializedDataset), and an UNCONDITIONAL repartition SPLITS
-    already-coarse inputs upward — wiring this into every exchange
-    sort cost 58 -> 98 s on the sf0.1 bench (extra operators are
-    driver-dispatch-bound on short jobs, the documented ~5 tasks/s
-    multi-operator rule).  Use it where the caller KNOWS the input
-    arrives fragmented: reading 10^4+ small files, or any upstream
-    whose block count scales with corpus size rather than cluster
-    size."""
-    import ray
-
-    cpus = ray.cluster_resources().get("CPU", 8) if ray.is_initialized() else 8
-    k = int(max(16, min(512, SORT_BLOCKS_PER_CPU * cpus)))
-    ds = ds.repartition(k)
-    if descending is None:
-        return ds.sort(keys)
-    return ds.sort(keys, descending=descending)
-
-
 def _key_partition_ids(table: pa.Table, key_cols: list[str],
                        nparts: int) -> np.ndarray:
     """Deterministic partition id per row from the key columns only.

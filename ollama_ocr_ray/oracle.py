@@ -215,6 +215,9 @@ def route_media_span(media_ref: str, payload_image=None, *,
     reference's handwriting default.
     """
     name = media_ref.lower()
+    slash = name.rfind("/")
+    if slash >= 0:
+        name = name[slash + 1:]  # keywords test the file name only
     for k in ("receipt", "invoice", "form", "document", "pdf"):
         if k in name:
             return "printed"

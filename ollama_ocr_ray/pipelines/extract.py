@@ -4,11 +4,11 @@ Two physical plans for the same logical extraction (identical output
 under the span-equality contract):
 
 ``extract_pipeline`` — the canonical salted-split plan of SURVEY.md §3.4:
-    explode to span rows → stateless extract (html/pdf/text) → OCR actor
-    pool → groupby(doc_id) reassembly.  One all-to-all exchange
-    (the groupby); a media-heavy document's spans spread across many
-    blocks and actors, so no single actor drowns in an OCR-dense
-    document (the reference's sequential 100-page-PDF problem,
+    one actor stage explodes documents to span rows, extracts
+    (html/pdf/text) and runs OCR, then a sort(doc_id) exchange
+    reassembles them.  The exchange bounds the reassembly's skew; the
+    OCR calls of one media-heavy document still run inside one actor
+    call (the reference's sequential 100-page-PDF problem,
     ``/root/reference/ocr_router.py:279-298``).
 
 ``fused_pipeline`` — the zero-shuffle plan: one actor-pool stage that
@@ -21,7 +21,9 @@ under the span-equality contract):
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -45,6 +47,11 @@ SPAN_ROW_SCHEMA = pa.schema(
 
 
 _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
+# The pool rule's two costs, measured on a 4-CPU host (BASELINE.md r6):
+# extraction CPU per document outside OCR, and the wall time one more
+# actor adds to a short pipeline (start-up, imports, first dispatch).
+_DOC_MS = 0.65
+_ACTOR_START_S = 0.25
 
 
 def _cluster_cpus() -> int:
@@ -56,60 +63,87 @@ def _cluster_cpus() -> int:
         return 8
 
 
-def _pool_sizing(ocr_burn: int, ocr_latency_ms: float):
-    """(concurrency, num_cpus_per_actor, batch_size) for the OCR pool.
+class DocProbe(NamedTuple):
+    """What a bounded sample of the input says about its OCR work."""
 
-    A high pool minimum matters: Ray's autoscaling pool ramps lazily and
-    tasks already queued on the first actors never migrate, so a (2, N)
-    pool on a short job runs at ~3x parallelism regardless of N
-    (measured in BASELINE.md).  Leaving a little CPU slack keeps
-    read/shuffle tasks from starving; an exact-CPUs fixed pool
-    deadlocks the stream.
+    docs: int           # documents in the sample
+    exact: bool         # the sample is the whole input
+    media_mean: float   # media spans per sampled document
+    media_max: int      # most media spans in one sampled document
 
-    When inference cost is latency-bound (GPU/remote model — the
-    reference's real profile, ``ollama_local_ocr.py:202``), actors
-    sleep more than they compute, so run 2 actors per CPU
-    (num_cpus=0.5) and larger batches to amortize driver dispatch;
-    compute-bound mocks get 1 actor per CPU.
+
+class OcrPool(NamedTuple):
+    """One extraction stage's actor pool, as ``ocr_pool`` sizes it."""
+
+    actors: int
+    num_cpus: float     # per actor
+    batch_size: int     # documents per actor call
+
+    def map_kwargs(self) -> dict:
+        """``map_batches`` arguments: a FIXED pool (min = max) with one
+        batch in flight per actor.  Ray hands bundles only to running
+        actors, up to the in-flight limit (default 4), so a short
+        pipeline's batches otherwise all queue on the first actor; and
+        an autoscaling pool at in-flight 1 never grows past its min."""
+        import ray.data
+
+        return {
+            "compute": ray.data.ActorPoolStrategy(
+                size=self.actors, max_tasks_in_flight_per_actor=1),
+            "num_cpus": self.num_cpus,
+            "batch_size": self.batch_size,
+        }
+
+
+def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
+             probe: DocProbe | None = None, cap: int | None = None,
+             num_cpus: float | None = None, batch_size: int | None = None,
+             pipelines: int = 1) -> OcrPool:
+    """The one sizing rule for the extraction actor pool (both plans).
+
+    Footprint: latency-bound inference (GPU/remote model, the
+    reference's real profile, ``ollama_local_ocr.py:202``) sleeps more
+    than it computes, so it runs ~3.5 actors per CPU at 0.25 CPU each
+    (round-2 sweep, BASELINE.md); compute-bound work runs one 1-CPU
+    actor per CPU.  ``cap`` (default: that footprint) bounds the actor
+    count, and the clamp always leaves one whole CPU for the read
+    stage, split across ``pipelines`` running at once: a pool covering
+    every core starves the stream and it deadlocks (measured at
+    num_cpus=4, round 4).
+
+    Size: when the probe counts the input exactly, each actor costs
+    ``_ACTOR_START_S`` and saves ``work / n``, so n = sqrt(work /
+    start) minimizes the pipeline's wall time; the batch shrinks to
+    give each actor one batch, and the pool never outnumbers its
+    batches.  An input of unknown size gets the cap.
     """
     cpus = _cluster_cpus()
-    latency_bound = ocr_latency_ms > ocr_burn * _BURN_MS_PER_ITER
-    if latency_bound:
-        # Round-2 sweep (BASELINE.md): ~3.4 actors per CPU at 0.25 CPU
-        # each hides sleep best (120k docs / 32 CPUs: 110 actors beat
-        # 64@0.5 by ~1.4x on both plans).  Footprint tops out at 7/8 of
-        # the cluster, so the pool MAX (not just the min) leaves CPU
-        # slack for read/shuffle tasks.  On tiny clusters the 7/8 rule
-        # rounds to LESS than one whole spare CPU (4 CPUs -> 3.5 used,
-        # 0.5 free) and the read stage starves outright (measured hang
-        # at num_cpus=4, round 4): cap the footprint at cpus-1 so at
-        # least one full CPU always serves the stream.
-        n_actors = min((7 * cpus) // 2, 4 * (cpus - 1))
-        return (max(2, n_actors - 2), max(2, n_actors)), 0.25, 128
-    # compute-bound: 1 actor per CPU, max capped below the cluster so
-    # the stream never starves (an exact-CPUs pool stalls, BASELINE.md)
-    n_actors = max(2, cpus - 1)
-    return (max(2, n_actors - 1), n_actors), 1, 64
-
-
-def _clamp_pool(concurrency, num_cpus):
-    """Clamp an EXPLICIT pool request to the cluster: a pool whose CPU
-    footprint covers every core starves the read stage and the stream
-    deadlocks (measured: the test-scale (4, 8)x1-CPU pool on a 4-CPU
-    session hangs outright).  Leave one full CPU free."""
-    budget = max(1, int((_cluster_cpus() - 1) / num_cpus))
-    if isinstance(concurrency, tuple):
-        lo, hi = concurrency
-        return (max(1, min(lo, budget)), max(1, min(hi, budget)))
-    return max(1, min(concurrency, budget))
+    per_span_ms = ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
+    if ocr_latency_ms > ocr_burn * _BURN_MS_PER_ITER:
+        # 3.5 actors per CPU, but at most 4 per CPU beyond the first
+        auto_cap, auto_cpus, auto_bs = min((7 * cpus) // 2,
+                                           4 * (cpus - 1)), 0.25, 128
+    else:
+        auto_cap, auto_cpus, auto_bs = cpus - 1, 1, 64
+    num_cpus = auto_cpus if num_cpus is None else num_cpus
+    batch_size = auto_bs if batch_size is None else batch_size
+    budget = int((cpus - 1) / (num_cpus * pipelines))
+    actors = max(1, min(auto_cap if cap is None else cap, budget))
+    if probe is not None and probe.exact:
+        n_docs = probe.docs
+        work_s = n_docs * (_DOC_MS + probe.media_mean * per_span_ms) / 1e3
+        actors = max(1, min(actors,
+                            math.ceil(math.sqrt(work_s / _ACTOR_START_S))))
+        batch_size = max(1, min(batch_size, math.ceil(n_docs / actors)))
+        actors = max(1, min(actors, math.ceil(n_docs / batch_size)))
+    return OcrPool(actors, num_cpus, batch_size)
 
 
 class SpanExtractor:
     """explode + extract + OCR in ONE actor stage (document blocks in,
-    span rows out).  Same logical result as chaining the three
-    map_batches; one operator instead of three cuts per-task driver
-    dispatch ~3x on the canonical plan (BASELINE.md: the 3-op chain is
-    dispatch-bound at ~5 tasks/s on the bench host)."""
+    span rows out).  One operator instead of a three-stage chain: the
+    chain was dispatch-bound at ~5 tasks/s on the bench host
+    (BASELINE.md r2)."""
 
     def __init__(self, offset_range=None, **ocr_kwargs):
         self._ocr = OcrModel(**ocr_kwargs)
@@ -129,80 +163,53 @@ def extract_pipeline(
     ocr_burn: int = 0,
     ocr_latency_ms: float = 0.0,
     ocr_batch_size: int = 512,
-    ocr_concurrency=None,
+    ocr_concurrency: int | None = None,
     ocr_num_cpus=None,
     policy: str = "text",
     offset_range=None,
     media_store=None,
-    fuse_stages: bool = True,
     with_stats: bool = False,
     reassembly_partitions: int | None = None,
     model=None,
     metrics_sink=None,
     metrics_tag=None,
+    probe: DocProbe | None = None,
 ):
     """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA [+stats]).
 
-    Canonical plan: span-granular parallelism + one groupby(doc_id)
-    exchange for reassembly.  ``fuse_stages`` (default) runs
-    explode/extract/OCR inside one actor stage (``SpanExtractor``) —
-    measurably less driver dispatch overhead; False keeps the
-    three-operator chain (stateless explode/extract as tasks), which is
-    preferable when the stateless stages should scale independently of
-    the actor pool (e.g. real GPU actors with num_gpus set).
+    Canonical plan: explode/extract/OCR in one actor stage
+    (``SpanExtractor``, pool from ``ocr_pool`` capped at
+    ``ocr_concurrency``) + one sort(doc_id) exchange for reassembly.
     """
-    auto_conc, auto_cpus, _ = _pool_sizing(ocr_burn, ocr_latency_ms)
-    if ocr_concurrency is None:
-        ocr_concurrency = auto_conc
-    if ocr_num_cpus is None:
-        ocr_num_cpus = auto_cpus
-    ocr_concurrency = _clamp_pool(ocr_concurrency, ocr_num_cpus)
+    pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+                    probe=probe, cap=ocr_concurrency, num_cpus=ocr_num_cpus,
+                    batch_size=ocr_batch_size)
     # The streaming executor reserves ~50% of CPUs per operator; with
     # three exchange operators downstream that halves the OCR pool's
     # effective task budget (measured: 64 of 110 actors busy).  The
-    # pool max already leaves explicit CPU slack, so release the
+    # pool already leaves explicit CPU slack, so release the
     # reservation.  Scope caveat: ``docs.context`` is this DATASET's
     # context (not the process singleton), but pipelines later derived
     # from the SAME ``docs`` object inherit it — callers that reuse one
     # Dataset across pipelines should pass a fresh read (every caller
     # in this repo does).
     docs.context.op_resource_reservation_enabled = False
-    ocr_kwargs = {
-        "burn_iters": ocr_burn,
-        "latency_ms": ocr_latency_ms,
-        "policy": policy,
-        "media_store": media_store,
-        "model": model,
-        "metrics_sink": metrics_sink,
-        "metrics_tag": metrics_tag,
-    }
-    if fuse_stages:
-        spans = docs.map_batches(
-            SpanExtractor,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=ocr_batch_size,
-            concurrency=ocr_concurrency,
-            num_cpus=ocr_num_cpus,
-            fn_constructor_kwargs={"offset_range": offset_range, **ocr_kwargs},
-        )
-    else:
-        spans = (
-            docs.map_batches(explode_batch, batch_format="pyarrow",
-                             zero_copy_batch=True,
-                             fn_kwargs={"offset_range": offset_range})
-            .map_batches(extract_batch, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(
-                OcrModel,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=ocr_batch_size,
-                concurrency=ocr_concurrency,
-                num_cpus=ocr_num_cpus,
-                fn_constructor_kwargs=ocr_kwargs,
-            )
-        )
+    spans = docs.map_batches(
+        SpanExtractor,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_constructor_kwargs={
+            "offset_range": offset_range,
+            "burn_iters": ocr_burn,
+            "latency_ms": ocr_latency_ms,
+            "policy": policy,
+            "media_store": media_store,
+            "model": model,
+            "metrics_sink": metrics_sink,
+            "metrics_tag": metrics_tag,
+        },
+        **pool.map_kwargs(),
+    )
     # Coalesce map-output blocks before the exchange: every sort-map,
     # sort-reduce and reassemble task downstream costs one driver
     # dispatch, and the driver sustains only ~16-44 dispatches/s on
@@ -341,26 +348,21 @@ class FusedExtractor:
 
 
 def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
-                   batch_size: int | None = None, concurrency=None,
-                   num_cpus=None, policy: str = "text", offset_range=None,
+                   batch_size: int | None = None,
+                   concurrency: int | None = None, num_cpus=None,
+                   policy: str = "text", offset_range=None,
                    media_store=None, with_stats: bool = False, model=None,
-                   metrics_sink=None, metrics_tag=None):
-    """documents Dataset → extracted Dataset, zero-shuffle plan."""
-    auto_conc, auto_cpus, auto_bs = _pool_sizing(ocr_burn, ocr_latency_ms)
-    if concurrency is None:
-        concurrency = auto_conc
-    if num_cpus is None:
-        num_cpus = auto_cpus
-    concurrency = _clamp_pool(concurrency, num_cpus)
-    if batch_size is None:
-        batch_size = auto_bs
+                   metrics_sink=None, metrics_tag=None,
+                   probe: DocProbe | None = None):
+    """documents Dataset → extracted Dataset, zero-shuffle plan (pool
+    from ``ocr_pool``, capped at ``concurrency``)."""
+    pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+                    probe=probe, cap=concurrency, num_cpus=num_cpus,
+                    batch_size=batch_size)
     return docs.map_batches(
         FusedExtractor,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
         fn_constructor_kwargs={
             "burn_iters": ocr_burn,
             "latency_ms": ocr_latency_ms,
@@ -372,76 +374,92 @@ def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
             "metrics_sink": metrics_sink,
             "metrics_tag": metrics_tag,
         },
+        **pool.map_kwargs(),
     )
 
 
 def choose_plan(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
-                skew_threshold_s: float = 5.0, sample_docs: int = 512) -> str:
+                skew_threshold_s: float = 5.0, sample_docs: int = 512,
+                with_probe: bool = False):
     """Pick the physical plan from a bounded skew probe.
 
     The skew unit of the fused plan is a whole document; its worst case
     is one doc monopolizing an actor for ``max_media_spans x per-span
     cost``.  Probe the first ``sample_docs`` documents (1-2 input
-    blocks, re-read by the main run — bounded cost at any corpus size),
-    estimate that worst case, and fall back to the canonical
+    blocks, re-read by the main run — bounded cost at any corpus
+    size), estimate that worst case, and fall back to the canonical
     salted-split plan when it exceeds ``skew_threshold_s``.  A sample
     can miss rare pathological docs: callers that KNOW their corpus is
     heavy-tailed should force ``plan='canonical'`` (the guaranteed-
     bounded plan); the probe is a default, not a proof.
-    """
-    import pyarrow.compute as pc
 
-    per_span_ms = ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
-    if per_span_ms <= 0:
-        return "fused"
+    ``with_probe=True`` returns ``(plan, DocProbe)`` so the same sample
+    also sizes the actor pool (``ocr_pool``).
+    """
+    import numpy as np
+
     try:
         sample = docs.limit(sample_docs).take_batch(
             sample_docs, batch_format="pyarrow"
         )
     except ValueError:
         # take_batch raises ValueError only for an exhausted/empty
-        # dataset: nothing to probe, either plan is fine.  Real read
-        # errors (corrupt parquet, permissions) propagate.
-        return "fused"
-    spans = sample["spans"]
-    kinds = pc.struct_field(pc.list_flatten(spans), "kind")
-    # per-doc media counts: segment the flattened kind array by offsets
-    import numpy as np
-
-    lengths = np.asarray(pc.list_value_length(spans))
-    is_media = np.asarray(pc.equal(kinds, "media"))
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    csum = np.concatenate([[0], np.cumsum(is_media.astype(np.int64))])
-    media_per_doc = csum[ends] - csum[starts]
-    worst_s = float(media_per_doc.max(initial=0)) * per_span_ms / 1e3
-    return "canonical" if worst_s > skew_threshold_s else "fused"
+        # dataset: nothing to probe.  Real read errors (corrupt
+        # parquet, permissions) propagate.
+        sample = None
+    media_per_doc = np.zeros(0, dtype=np.int64)
+    if sample is not None:
+        spans = sample["spans"]
+        kinds = pc.struct_field(pc.list_flatten(spans), "kind")
+        # per-doc media counts: segment the flattened kind array by
+        # offsets
+        lengths = np.asarray(pc.list_value_length(spans))
+        is_media = np.asarray(pc.equal(kinds, "media"))
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        csum = np.concatenate([[0], np.cumsum(is_media.astype(np.int64))])
+        media_per_doc = csum[ends] - csum[starts]
+    n = len(media_per_doc)
+    probe = DocProbe(n, n < sample_docs,
+                     float(media_per_doc.mean()) if n else 0.0,
+                     int(media_per_doc.max(initial=0)))
+    per_span_ms = ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
+    worst_s = probe.media_max * per_span_ms / 1e3
+    plan = "canonical" if worst_s > skew_threshold_s else "fused"
+    return (plan, probe) if with_probe else plan
 
 
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                   policy: str = "text", offset_range=None,
-                  ocr_batch_size: int | None = None, ocr_concurrency=None,
+                  ocr_batch_size: int | None = None,
+                  ocr_concurrency: int | None = None,
                   ocr_num_cpus=None, with_stats: bool = False,
                   plan: str | None = None, model=None):
     """The engine's default: probe skew, then run the fused
     (zero-shuffle) plan for bounded-skew corpora or the canonical
     salted-split plan for heavy-tailed ones.  Returns (plan_name, ds).
+    The probe's sample also sizes the actor pool; with ``plan`` given
+    there is no probe and the pool gets its cap.
 
     Tuning kwargs use the canonical (``ocr_``-prefixed) names and are
     translated for the fused plan, so callers can pass them portably —
-    the probe, not the caller, decides which plan runs.  Note the
-    batch-size unit differs by plan (span rows vs whole docs), so an
-    explicit ``ocr_batch_size`` is only forwarded to the canonical plan.
+    the probe, not the caller, decides which plan runs.  An explicit
+    ``ocr_batch_size`` is only forwarded to the canonical plan (whose
+    default batch is larger).
     """
+    probe = None
     if plan is None:
-        plan = choose_plan(docs, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms)
+        plan, probe = choose_plan(docs, ocr_burn=ocr_burn,
+                                  ocr_latency_ms=ocr_latency_ms,
+                                  with_probe=True)
     if plan == "fused":
         out = fused_pipeline(docs, ocr_burn=ocr_burn,
                              ocr_latency_ms=ocr_latency_ms,
                              policy=policy, offset_range=offset_range,
                              concurrency=ocr_concurrency,
                              num_cpus=ocr_num_cpus,
-                             with_stats=with_stats, model=model)
+                             with_stats=with_stats, model=model,
+                             probe=probe)
     else:
         out = extract_pipeline(docs, ocr_burn=ocr_burn,
                                ocr_latency_ms=ocr_latency_ms,
@@ -449,6 +467,7 @@ def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                                ocr_concurrency=ocr_concurrency,
                                ocr_num_cpus=ocr_num_cpus,
                                with_stats=with_stats, model=model,
+                               probe=probe,
                                **({} if ocr_batch_size is None
                                   else {"ocr_batch_size": ocr_batch_size}))
     return plan, out

@@ -381,7 +381,7 @@ def q_extract_canonical(sf_dir: str):
     # would EXPAND 8 read blocks to 64 and pay ~1-2 s of post-sort
     # driver dispatch (measured, BASELINE.md r3)
     return summary_table(
-        extract_pipeline(docs, with_stats=True, ocr_concurrency=(4, 8),
+        extract_pipeline(docs, with_stats=True, ocr_concurrency=8,
                          reassembly_partitions=0)
     )
 
@@ -390,7 +390,7 @@ def q_extract_fused(sf_dir: str):
     from .pipelines.extract import fused_pipeline
 
     docs = _read_corpus(sf_dir)
-    return fused_pipeline(docs, concurrency=(4, 8)).map_batches(
+    return fused_pipeline(docs, concurrency=8).map_batches(
         _spans_digest, batch_format="pyarrow"
     )
 
@@ -446,9 +446,9 @@ def q_extract_parity(sf_dir: str):
     (same sorted-block invariant as ``relational.hash_join``)."""
     from .pipelines.extract import extract_pipeline, fused_pipeline
 
-    fused = fused_pipeline(_read_corpus(sf_dir), concurrency=(4, 8)) \
+    fused = fused_pipeline(_read_corpus(sf_dir), concurrency=8) \
         .map_batches(_spans_digest, batch_format="pyarrow")
-    canon = extract_pipeline(_read_corpus(sf_dir), ocr_concurrency=(4, 8),
+    canon = extract_pipeline(_read_corpus(sf_dir), ocr_concurrency=8,
                              reassembly_partitions=0) \
         .map_batches(_spans_digest, batch_format="pyarrow")
     return _digest_parity(fused, canon)
@@ -562,7 +562,7 @@ def _policy_oracle_gate(sf_dir: str, policy: str):
     from .pipelines.extract import fused_pipeline
 
     fused = fused_pipeline(_read_corpus(sf_dir), policy=policy,
-                           concurrency=(4, 8)).map_batches(
+                           concurrency=8).map_batches(
         _spans_digest, batch_format="pyarrow"
     )
     return _digest_parity(fused, _oracle_digests(sf_dir, policy))
@@ -596,7 +596,7 @@ def q_structured_receipts(sf_dir: str):
 
     docs = _read_corpus(sf_dir)
     return structured_receipts(
-        fused_pipeline(docs, policy="structured", concurrency=(4, 8))
+        fused_pipeline(docs, policy="structured", concurrency=8)
     )
 
 

@@ -110,7 +110,13 @@ def main(argv=None) -> int:
                          "deterministic mock policy contract "
                          "(stages/engines.py)")
     ap.add_argument("--ocr-batch-size", type=int, default=512)
-    ap.add_argument("--ocr-concurrency", type=int, default=8)
+    ap.add_argument("--ocr-concurrency", type=int, default=None,
+                    help="extract job: cap on OCR actors per partition "
+                         "pool (default: ~3.5 per CPU for latency-bound "
+                         "inference, one per CPU otherwise); each pool "
+                         "is fixed-size, sized below the cap from the "
+                         "partition's doc count and media per doc, and "
+                         "always leaves one CPU for reading")
     ap.add_argument("--csv", action="store_true",
                     help="also write reference-format summary CSVs "
                          "(file,engine,chars,pages,type) under "
@@ -262,7 +268,7 @@ def main(argv=None) -> int:
             ocr_burn=args.ocr_burn,
             ocr_latency_ms=args.ocr_latency_ms,
             ocr_batch_size=args.ocr_batch_size,
-            ocr_concurrency=(1, args.ocr_concurrency),
+            ocr_concurrency=args.ocr_concurrency,
             wave=args.wave,
             max_partitions=args.max_partitions,
             csv_summary=args.csv,

@@ -4,9 +4,10 @@ Engine analog of ``TrOCREngine`` (``/root/reference/ocr_router.py:31-46``):
 the reference constructs the model once for a whole batch run
 (``ocr_router.py:388-389``) and threads it through every call; here the
 model loads once per actor in ``__init__`` and ``__call__`` transcribes a
-whole Arrow batch — wired as
-``map_batches(OcrModel, concurrency=(min,max), batch_size=B,
-batch_format='pyarrow')``.
+whole Arrow batch.  The pipelines run it inside one actor stage with
+explode and extract (``pipelines.extract.SpanExtractor``) or per
+document (``FusedExtractor``), on the pool ``pipelines.extract.ocr_pool``
+sizes.
 
 The sandbox has no vision model, so the "model" is the deterministic
 transcription contract of ``spec.mock_transcript`` plus two

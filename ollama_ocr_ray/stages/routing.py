@@ -56,9 +56,11 @@ MIN_IMAGE_DIM = 10      # reference tiny-image guard
 
 
 def keyword_route(name: str) -> str | None:
-    """Filename-keyword routing (``ocr_router.py:131-137``): printed
-    keywords win over handwriting ones; None when neither matches."""
-    low = name.lower()
+    """Filename-keyword routing (``ocr_router.py:131-137``) on the
+    basename only (the reference tests ``Path(image_path).name``, so a
+    directory such as ``forms/`` must not route): printed keywords win
+    over handwriting ones; None when neither matches."""
+    low = name.rsplit("/", 1)[-1].lower()
     if any(k in low for k in PRINTED_KEYWORDS):
         return ROUTE_PRINTED
     if any(k in low for k in HANDWRITING_KEYWORDS):
@@ -117,7 +119,8 @@ def route_media_batch(batch: pa.Table, *, media_store=None, decode=None,
     """Span batch -> same batch + ``route`` column.
 
     Non-media spans route to "" (no engine).  Media spans: keyword
-    routing on ``media_ref`` (vectorized Arrow regex, printed first);
+    routing on the basename of ``media_ref`` (vectorized Arrow regex,
+    printed first);
     unresolved by keywords, the payload path runs when a sidecar
     ``media_store`` (plain dict here — resolve any ObjectRef in the
     actor ctor) and a ``decode`` (payload bytes -> ndarray) are
@@ -128,7 +131,7 @@ def route_media_batch(batch: pa.Table, *, media_store=None, decode=None,
     """
     batch = batch.combine_chunks()
     refs = batch.column("media_ref")
-    low = pc.utf8_lower(refs)
+    low = pc.utf8_lower(pc.replace_substring_regex(refs, "^.*/", ""))
     is_media = pc.equal(batch.column("kind"), "media")
     printed = pc.match_substring_regex(low, _PRINTED_RE)
     hand = pc.match_substring_regex(low, _HANDWRITING_RE)

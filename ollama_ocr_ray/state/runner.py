@@ -87,17 +87,30 @@ def _run_partition(
     ocr_burn: int,
     ocr_latency_ms: float,
     ocr_batch_size: int,
-    ocr_concurrency,
+    ocr_concurrency: int | None,
     policy,
     model=None,
     metrics_sink=None,
+    probe=None,
 ) -> dict:
     ds = read_documents_files([input_file])
+    if probe is not None:
+        # the job's media-per-doc sample, scaled to this partition's
+        # exact doc count when its footer says it (parquet)
+        if input_file.endswith(".parquet"):
+            import pyarrow.parquet as pq
+
+            probe = probe._replace(
+                docs=pq.ParquetFile(input_file).metadata.num_rows,
+                exact=True)
+        else:
+            probe = probe._replace(exact=False)
     if plan == "fused":
         out = fused_pipeline(
             ds, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
             concurrency=ocr_concurrency, policy=policy, with_stats=True,
             model=model, metrics_sink=metrics_sink, metrics_tag=pid,
+            probe=probe,
         )
     else:
         out = extract_pipeline(
@@ -111,6 +124,7 @@ def _run_partition(
             model=model,
             metrics_sink=metrics_sink,
             metrics_tag=pid,
+            probe=probe,
         )
     part_dir = manifest.part_dir(pid)
     tmp_dir = os.path.join(manifest.output_dir, f"_tmp-part-{pid:05d}")
@@ -695,7 +709,7 @@ def run_extract(
     ocr_burn: int = 0,
     ocr_latency_ms: float = 0.0,
     ocr_batch_size: int = 512,
-    ocr_concurrency=(1, 8),
+    ocr_concurrency: int | None = None,
     policy="text",
     model=None,
     wave: int = 4,
@@ -706,7 +720,10 @@ def run_extract(
 
     Returns a summary: partitions done/skipped and aggregate metrics.
     ``max_partitions`` bounds how many pending partitions run (the
-    kill-simulation hook for resume tests).
+    kill-simulation hook for resume tests).  Each partition gets a
+    fixed actor pool sized by ``ocr_pool`` from its doc count and the
+    job's probe, capped at ``ocr_concurrency`` actors and at its share
+    of the cluster among the ``wave`` partitions running at once.
     """
     files = list_input_files(input_path)
     if not files:
@@ -722,12 +739,21 @@ def run_extract(
             pending.append((pid, f))
     if max_partitions is not None:
         pending = pending[:max_partitions]
-    if plan == "auto":
-        from ..pipelines.extract import choose_plan
+    probe = None
+    if pending or plan == "auto":
+        # one probe per job: its sample picks the plan (plan='auto')
+        # and sizes every partition's pool
+        from ..pipelines import extract as px
 
-        probe = read_documents_files([files[0]])
-        plan = choose_plan(probe, ocr_burn=ocr_burn,
-                           ocr_latency_ms=ocr_latency_ms)
+        chosen, probe = px.choose_plan(
+            read_documents_files([files[0]]), ocr_burn=ocr_burn,
+            ocr_latency_ms=ocr_latency_ms, with_probe=True)
+        if plan == "auto":
+            plan = chosen
+        ocr_concurrency = px.ocr_pool(
+            ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+            cap=ocr_concurrency,
+            pipelines=max(1, min(wave, len(pending)))).actors
     # one zero-CPU metrics sink per job: every OCR actor pushes one
     # resource sample per batch, drained per partition at commit
     from .metrics import make_sink
@@ -742,6 +768,7 @@ def run_extract(
         policy=policy,
         model=model,
         metrics_sink=metrics_sink,
+        probe=probe,
     )
     done = []
     if pending:

@@ -133,7 +133,7 @@ def test_media_store_objectref_payloads_reach_model(ray_session):
     store = ray.put({"s3://a": b"same-bytes", "s3://b": b"same-bytes",
                      "s3://c": b"other-bytes"})
     out = extract_pipeline(rd.from_arrow(table), media_store=store,
-                           model=DemoHashModel(), ocr_concurrency=(1, 2))
+                           model=DemoHashModel(), ocr_concurrency=2)
     t = pa.concat_tables(
         list(out.iter_batches(batch_size=None, batch_format="pyarrow"))
     )

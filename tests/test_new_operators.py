@@ -660,7 +660,7 @@ def test_offset_range_selection(ray_session):
 
     table = synth.gen_table(30, seed=4)
     out = extract_pipeline(rd.from_arrow(table), offset_range=(0, 1),
-                           ocr_concurrency=(1, 2))
+                           ocr_concurrency=2)
     got = {
         r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["order"])
                       for s in r["spans"]]
@@ -686,7 +686,7 @@ def test_corpus_summary_aggregate(ray_session):
 
     table = synth.gen_table(25, seed=2)
     stats = fused_pipeline(rd.from_arrow(table), with_stats=True,
-                           concurrency=(1, 2))
+                           concurrency=2)
     row = corpus_summary(stats)
     assert row["docs"] == 25
     assert row["spans"] > 0 and row["chars"] > 0
@@ -769,9 +769,9 @@ def test_media_store_broadcast_lookup(ray_session):
         ]
 
     got_c = spans(extract_pipeline(rd.from_arrow(table), media_store=store,
-                                   ocr_concurrency=(1, 2)))
+                                   ocr_concurrency=2))
     got_f = spans(fused_pipeline(rd.from_arrow(table), media_store=store,
-                                 concurrency=(1, 2)))
+                                 concurrency=2))
     assert got_c == got_f
     assert got_c[0] == got_c[1]                       # same bytes, same text
     assert got_c[0][0] == "ocr"

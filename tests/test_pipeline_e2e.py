@@ -157,7 +157,7 @@ def test_very_wide_doc_canonical(ray_session):
     }
     table = pa.Table.from_pylist([doc, small], schema=DOCUMENTS_SCHEMA)
     out = extract_pipeline(rd.from_arrow(table), ocr_batch_size=512,
-                           ocr_concurrency=(2, 4))
+                           ocr_concurrency=4)
     rows = {
         r["doc_id"]: r["spans"]
         for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -181,27 +181,3 @@ def test_auto_plan_empty_corpus(ray_session):
     n = sum(b.num_rows
             for b in out.iter_batches(batch_size=None, batch_format="pyarrow"))
     assert n == 0
-
-
-def test_canonical_unfused_stage_chain(ray_session):
-    """fuse_stages=False (separate explode/extract/OCR operators — the
-    configuration for independently-scaled stateless stages) produces
-    the same spans as the default fused-stage canonical plan."""
-    import ray.data as rd
-
-    import pyarrow as pa
-
-    from ollama_ocr_ray import oracle, synth
-    from ollama_ocr_ray.pipelines.extract import extract_pipeline
-
-    table = synth.gen_table(40, seed=21)
-    want = oracle.extract_corpus(table)
-    out = extract_pipeline(rd.from_arrow(table), fuse_stages=False,
-                           ocr_concurrency=(1, 2))
-    got = {
-        r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["order"])
-                      for s in r["spans"]]
-        for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
-        for r in b.to_pylist()
-    }
-    assert got == want

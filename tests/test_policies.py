@@ -31,11 +31,11 @@ def test_policy_three_way_equality(ray_session, policy):
     want = oracle.extract_corpus(table, policy)
     got_c = _spans_of(
         extract_pipeline(rd.from_arrow(table), policy=policy,
-                         ocr_concurrency=(1, 2))
+                         ocr_concurrency=2)
     )
     got_f = _spans_of(
         fused_pipeline(rd.from_arrow(table), policy=policy,
-                       concurrency=(1, 2))
+                       concurrency=2)
     )
     assert got_c == want
     assert got_f == want
@@ -89,7 +89,7 @@ def test_callable_policy_extension(ray_session):
     want = oracle.extract_corpus(table, _shout)
     got = _spans_of(
         fused_pipeline(rd.from_arrow(table), policy=_shout,
-                       concurrency=(1, 2))
+                       concurrency=2)
     )
     assert got == want
     assert any(
@@ -122,7 +122,7 @@ def test_structured_receipts_view(ray_session):
     table = synth.gen_table(40, seed=11)
     out = structured_receipts(
         fused_pipeline(rd.from_arrow(table), policy="structured",
-                       concurrency=(1, 2))
+                       concurrency=2)
     )
     t = pa.concat_tables(
         list(out.iter_batches(batch_size=None, batch_format="pyarrow"))

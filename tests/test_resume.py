@@ -993,7 +993,7 @@ def test_csv_summary_compat(ray_session, corpus_dir, tmp_path):
     docs = rd.read_parquet(corpus_dir)
     one = str(tmp_path / "summary.csv")
     write_summary_csv(
-        extract_pipeline(docs, with_stats=True, ocr_concurrency=(1, 1)),
+        extract_pipeline(docs, with_stats=True, ocr_concurrency=1),
         one, single_file=True)
     with open(one, newline="") as f:
         r = list(csv.reader(f))

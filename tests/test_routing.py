@@ -157,6 +157,29 @@ def test_route_media_batch_vectorized_and_payload_path():
         "", "printed", "handwriting", "handwriting", "handwriting"]
 
 
+def test_keyword_route_tests_only_the_basename():
+    """A keyword in a directory segment is not a filename keyword (the
+    reference tests ``Path(image_path).name``): the span takes the
+    pixel path, in the stage and, independently, in the oracle."""
+    from ollama_ocr_ray import oracle
+
+    ref = "media://bucket/forms/scan_0001.jpg"
+    assert keyword_route(ref) is None
+    assert keyword_route("media://notes/receipt_7.jpg") == "printed"
+    batch = pa.table({"doc_id": ["d", "d"], "kind": ["media", "media"],
+                      "media_ref": [ref, "media://bucket/notes/img.jpg"]})
+    assert route_media_batch(batch).column("route").to_pylist() == [
+        "handwriting", "handwriting"]
+    page = _printed_page()
+    got = route_media_batch(batch, media_store={ref: b"P"},
+                            decode=lambda b: page)
+    assert got.column("route").to_pylist()[0] == "printed"
+    assert oracle.route_media_span(ref) == "handwriting"
+    assert oracle.route_media_span(ref, page) == "printed"
+    assert oracle.route_media_span("media://notes/receipt_7.jpg") \
+        == "printed"
+
+
 def test_router_model_dispatch_two_engines():
     """Per-span dispatch through the seam: two injected fake engines,
     each called once per batch with exactly its routed payloads,
@@ -171,14 +194,14 @@ def test_router_model_dispatch_two_engines():
     m = RouterModel(printed=Tagger("PRN"), handwriting=Tagger("HND"),
                     decode=lambda b: (_printed_page() if b == b"P"
                                       else np.full((99, 99), 7, np.uint8)))
-    payloads = ["media://receipt/0", b"P", "media://notes/1", b"H",
-                "media://img/2"]
+    payloads = ["media://b/receipt_0", b"P", "media://b/notes_1", b"H",
+                "media://b/img_2"]
     out = m(payloads)
     tags = [t.split("::")[0] for t in out]
     assert tags == ["PRN", "PRN", "HND", "HND", "HND"]
     assert dict((t, p) for t, p in calls) == {
-        "PRN": ["media://receipt/0", b"P"],
-        "HND": ["media://notes/1", b"H", "media://img/2"],
+        "PRN": ["media://b/receipt_0", b"P"],
+        "HND": ["media://b/notes_1", b"H", "media://b/img_2"],
     }
     assert len(calls) == 2  # one batched call per engine
     # transcripts are the payload digests (engines saw real payloads)
@@ -217,7 +240,7 @@ def test_router_through_extract_pipeline(ray_session):
     model = RouterModel(printed=DemoHashModel("PRN"),
                         handwriting=DemoHashModel("HND"))
     out = extract_pipeline(rd.from_arrow(table), model=model,
-                           ocr_concurrency=(1, 2))
+                           ocr_concurrency=2)
     [row] = out.take_all()
     spans = sorted(row["spans"], key=lambda s: s["order"])
     assert [s["kind"] for s in spans] == ["ocr", "text", "ocr"]
