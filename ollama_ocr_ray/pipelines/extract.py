@@ -1,22 +1,25 @@
 """Pipeline composition: documents Dataset → extracted Dataset.
 
-Two physical plans for the same logical extraction (identical output
-under the span-equality contract):
+Two physical plans run ONE extraction kernel (``SpanExtractor``:
+explode, per-kind extract and OCR in one actor call, then
+``reassemble_sorted_block``) and give identical output under the
+span-equality contract.  They differ only in where the reassembly runs:
 
 ``extract_pipeline`` — the canonical salted-split plan of SURVEY.md §3.4:
-    one actor stage explodes documents to span rows, extracts
-    (html/pdf/text) and runs OCR, then a sort(doc_id) exchange
+    the actor stage emits span rows and a sort(doc_id) exchange
     reassembles them.  The exchange bounds the reassembly's skew; the
     OCR calls of one media-heavy document still run inside one actor
     call (the reference's sequential 100-page-PDF problem,
     ``/root/reference/ocr_router.py:279-298``).
 
-``fused_pipeline`` — the zero-shuffle plan: one actor-pool stage that
-    processes each document's spans in place (documents are independent
-    rows).  No exchange at all, minimal data movement; its skew unit is
-    the whole document, so a single pathological document serializes on
-    one actor.  The engine defaults to the canonical plan (bounded skew)
-    and offers the fused plan where corpora are known to be uniform.
+``fused_pipeline`` — the zero-shuffle plan (operator fusion): the same
+    actor call reassembles its own span rows (``FusedExtractor``).  A
+    document is one input row, so all of its span rows come from one
+    batch and no exchange is needed; the skew unit is the whole batch,
+    so a single pathological document serializes on one actor.
+
+``auto_pipeline`` (and the resumable runner) picks between them with a
+bounded skew probe (``choose_plan``).
 """
 
 from __future__ import annotations
@@ -28,13 +31,10 @@ from typing import NamedTuple
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import EXTRACTED_SCHEMA, SUMMARY_SCHEMA
-from ..spec import CORRUPT_SUFFIX, ERROR_TEXT, unsupported_text
+from ..schema import SUMMARY_SCHEMA
 from ..stages.explode import explode_batch
 from ..stages.extract import extract_batch
-from ..stages.html_extract import extract_html_stage
 from ..stages.ocr import OcrModel
-from ..stages.pdf_parse import parse_pdf_stage
 from ..stages.reassemble import REASSEMBLED_SCHEMA, reassemble_sorted_block
 
 # the span-row layout entering the reassembly exchange (explode →
@@ -157,6 +157,17 @@ class SpanExtractor:
         )
 
 
+def _extraction_stage(docs, stage_cls, pool: OcrPool, **ctor_kwargs):
+    """The one extraction actor stage of either plan, on ``pool``."""
+    return docs.map_batches(
+        stage_cls,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_constructor_kwargs=ctor_kwargs,
+        **pool.map_kwargs(),
+    )
+
+
 def extract_pipeline(
     docs,
     *,
@@ -194,22 +205,11 @@ def extract_pipeline(
     # Dataset across pipelines should pass a fresh read (every caller
     # in this repo does).
     docs.context.op_resource_reservation_enabled = False
-    spans = docs.map_batches(
-        SpanExtractor,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_constructor_kwargs={
-            "offset_range": offset_range,
-            "burn_iters": ocr_burn,
-            "latency_ms": ocr_latency_ms,
-            "policy": policy,
-            "media_store": media_store,
-            "model": model,
-            "metrics_sink": metrics_sink,
-            "metrics_tag": metrics_tag,
-        },
-        **pool.map_kwargs(),
-    )
+    spans = _extraction_stage(
+        docs, SpanExtractor, pool, offset_range=offset_range,
+        burn_iters=ocr_burn, latency_ms=ocr_latency_ms, policy=policy,
+        media_store=media_store, model=model, metrics_sink=metrics_sink,
+        metrics_tag=metrics_tag)
     # Coalesce map-output blocks before the exchange: every sort-map,
     # sort-reduce and reassemble task downstream costs one driver
     # dispatch, and the driver sustains only ~16-44 dispatches/s on
@@ -247,104 +247,19 @@ def extract_pipeline(
     return out.select_columns(["doc_id", "spans"])
 
 
-class FusedExtractor:
-    """Whole-document extraction in one stateful stage (zero shuffle).
+class FusedExtractor(SpanExtractor):
+    """The fused plan's stage: ``SpanExtractor``'s kernel, then
+    ``reassemble_sorted_block`` on the call's own span rows — every
+    document is one input row, so its span rows never leave the call.
+    Output is projected to (doc_id, spans) unless ``with_stats``."""
 
-    Holds the OCR model like ``OcrModel`` and applies the same per-kind
-    contract via the shared stage parsers; span order never leaves the
-    row, so no reassembly exchange is needed.
-    """
-
-    def __init__(self, burn_iters: int = 0, latency_ms: float = 0.0,
-                 policy: str = "text", offset_range=None, media_store=None,
-                 with_stats: bool = False, model=None,
-                 metrics_sink=None, metrics_tag=None):
-        self._ocr = OcrModel(burn_iters=burn_iters, latency_ms=latency_ms,
-                             policy=policy, media_store=media_store,
-                             model=model, metrics_sink=metrics_sink,
-                             metrics_tag=metrics_tag)
-        self.policy = policy
-        self.offset_range = offset_range
+    def __init__(self, with_stats: bool = False, **kwargs):
+        super().__init__(**kwargs)
         self.with_stats = with_stats
 
-    def _extract_doc(self, spans: list[dict]) -> tuple[list[dict], int]:
-        out = []
-        if self.offset_range is not None:
-            lo, hi = self.offset_range
-            spans = [s for s in spans if lo <= s["offset"] < hi]
-        spans = sorted(spans, key=lambda s: s["offset"])
-        # resolve the doc's media refs in one pass, transcribe them in
-        # ONE batched inference call (the model seam batches per doc on
-        # this plan; the canonical plan batches across documents)
-        media_refs = [s["media_ref"] for s in spans if s["kind"] == "media"]
-        status, keys, payloads = self._ocr.resolve_batch(media_refs)
-        for k in keys:
-            self._ocr._burn(k)
-        outs_per_ok = self._ocr.infer_texts(payloads, keys)
-        st_iter, ok_iter = iter(status), iter(outs_per_ok)
-        for s in spans:
-            kind = s["kind"]
-            if kind == "text":
-                t = s["text"].strip()
-                if t:
-                    out.append(("text", t, ""))
-            elif kind == "html":
-                out.extend(("text", t, "") for t in extract_html_stage(s["text"]))
-            elif kind == "pdf":
-                out.extend(("text", t, "") for t in parse_pdf_stage(s["text"]))
-            elif kind == "media":
-                ref = s["media_ref"]
-                st = next(st_iter)
-                if st == "corrupt":
-                    out.append(("error", ERROR_TEXT, ref))
-                elif st == "missing":
-                    out.append(
-                        ("error", OcrModel.MISSING_MEDIA.format(ref=ref), ref)
-                    )
-                else:
-                    out.extend(("ocr", t, ref) for t in next(ok_iter))
-            else:
-                out.append(("error", unsupported_text(kind), s["media_ref"]))
-        return [
-            {"kind": k, "text": t, "media_ref": m, "order": i}
-            for i, (k, t, m) in enumerate(out)
-        ], len(keys)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import time
-
-        t_call = time.perf_counter()
-        rows = batch.to_pylist()
-        out = []
-        media_counts = []
-        batch_media = 0
-        for r in rows:
-            t0 = time.perf_counter()
-            spans, n_media = self._extract_doc(r["spans"])
-            batch_media += n_media
-            media_counts.append(n_media)
-            row = {"doc_id": r["doc_id"], "spans": spans}
-            if self.with_stats:
-                row["engine"] = spans[0]["kind"] if spans else ""
-                row["chars"] = sum(len(s["text"]) for s in spans)
-                row["n_spans"] = len(spans)
-                row["n_errors"] = sum(1 for s in spans if s["kind"] == "error")
-                row["ocr_ms"] = (time.perf_counter() - t0) * 1e3
-            out.append(row)
-        # one batched sleep per call: batched inference amortizes per-call
-        # latency; per-span cost is what scales (see OcrModel)
-        t_sleep = time.perf_counter()
-        self._ocr.simulate_latency(batch_media)
-        if self.with_stats and batch_media:
-            # amortize the batch sleep into each doc's ocr_ms by its
-            # media-span share, so fused and canonical plans report the
-            # same latency metric for the same corpus
-            slept_ms = (time.perf_counter() - t_sleep) * 1e3
-            for row, n_media in zip(out, media_counts):
-                row["ocr_ms"] += slept_ms * n_media / batch_media
-        self._ocr._record(len(rows), batch_media, t_call)
-        schema = REASSEMBLED_SCHEMA if self.with_stats else EXTRACTED_SCHEMA
-        return pa.Table.from_pylist(out, schema=schema)
+        out = reassemble_sorted_block(super().__call__(batch))
+        return out if self.with_stats else out.select(["doc_id", "spans"])
 
 
 def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
@@ -359,23 +274,11 @@ def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
                     probe=probe, cap=concurrency, num_cpus=num_cpus,
                     batch_size=batch_size)
-    return docs.map_batches(
-        FusedExtractor,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_constructor_kwargs={
-            "burn_iters": ocr_burn,
-            "latency_ms": ocr_latency_ms,
-            "policy": policy,
-            "offset_range": offset_range,
-            "media_store": media_store,
-            "with_stats": with_stats,
-            "model": model,
-            "metrics_sink": metrics_sink,
-            "metrics_tag": metrics_tag,
-        },
-        **pool.map_kwargs(),
-    )
+    return _extraction_stage(
+        docs, FusedExtractor, pool, with_stats=with_stats,
+        offset_range=offset_range, burn_iters=ocr_burn,
+        latency_ms=ocr_latency_ms, policy=policy, media_store=media_store,
+        model=model, metrics_sink=metrics_sink, metrics_tag=metrics_tag)
 
 
 def choose_plan(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,

@@ -55,8 +55,9 @@ EXTRACTED_SCHEMA = pa.schema(
 # ---------------------------------------------------------------------------
 # Intermediate (exploded) row shape used between stages.  One row per
 # *input* span before extraction, one row per *output* span after:
-#   doc_id, offset (input span position), sub (output index within the
-#   input span), kind, text, media_ref.
+#   doc_id, offset (the input span's rank in its document, by input
+#   offset then list position), sub (output index within the input
+#   span), kind, text, media_ref.
 EXPLODED_FIELDS = [
     ("doc_id", pa.string()),
     ("offset", pa.int32()),

@@ -9,6 +9,5 @@ per SURVEY.md §5.2.
 from .explode import explode_batch
 from .extract import extract_batch
 from .ocr import OcrModel
-from .reassemble import reassemble_group
 
-__all__ = ["explode_batch", "extract_batch", "OcrModel", "reassemble_group"]
+__all__ = ["explode_batch", "extract_batch", "OcrModel"]

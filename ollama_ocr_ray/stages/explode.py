@@ -4,8 +4,9 @@ This is the engine's salted-split skew mitigation (SURVEY.md §4.3): a
 media-heavy document (the reference's 100-page-PDF-in-line problem,
 ``ocr_router.py:279-298``) is decomposed to span granularity *before*
 the expensive stages, so its spans spread across many blocks/actors; the
-(offset, sub) keys assigned here let ``reassemble_group`` restore the
-exact sequence after the ``groupby(doc_id)`` exchange.
+(offset, sub) keys assigned here let ``reassemble_sorted_block`` restore
+the exact sequence, after the canonical plan's sort(doc_id) exchange and
+``exact_segment_fold``, or inside the fused plan's actor call.
 
 A sentinel row (kind='__doc__', offset=-1) is emitted per document so
 documents whose spans all extract to nothing still appear (with an empty
@@ -35,7 +36,12 @@ def explode_batch(batch: pa.Table, offset_range=None) -> pa.Table:
     """``offset_range=(lo, hi)`` keeps only spans with lo <= offset < hi —
     the span-level analog of the reference's --page N selection
     (``ollama_cloud_ocr.py:689-690,722-731``), applied as a vectorized
-    predicate before any extraction work (predicate pushdown, O3)."""
+    predicate before any extraction work (predicate pushdown, O3).
+
+    The output ``offset`` of a kept span is its rank in its document by
+    (input offset, position in the span list).  Spans that share an
+    input offset so keep their input order, as in the oracle's stable
+    sort, whatever order the per-kind extraction emits them in."""
     batch = batch.combine_chunks()
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
@@ -44,26 +50,29 @@ def explode_batch(batch: pa.Table, offset_range=None) -> pa.Table:
     lengths = np.asarray(spans.value_lengths())
     n_docs = len(batch)
     parent = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    offset = np.asarray(flat.field("offset"))
     doc_ids = batch.column("doc_id")
-    span_docs = doc_ids.take(pa.array(parent))
     exploded = pa.table(
         {
-            "doc_id": span_docs,
+            "doc_id": doc_ids.take(pa.array(parent)),
             "offset": flat.field("offset"),
             "kind": flat.field("kind"),
             "text": flat.field("text"),
             "media_ref": flat.field("media_ref"),
         }
-    ).cast(EXPLODED_SCHEMA)
+    )
     if offset_range is not None:
         lo, hi = offset_range
-        off = exploded.column("offset")
-        import pyarrow.compute as pc
-
-        exploded = exploded.filter(
-            pc.and_(pc.greater_equal(off, pa.scalar(lo, type=pa.int32())),
-                    pc.less(off, pa.scalar(hi, type=pa.int32())))
-        )
+        keep = (offset >= lo) & (offset < hi)
+        exploded = exploded.filter(pa.array(keep))
+        parent, offset = parent[keep], offset[keep]
+    # rank within each document: parent is non-decreasing, so a stable
+    # sort by (parent, offset) keeps each document's rows in place
+    order = np.lexsort((offset, parent))
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order)) - np.searchsorted(parent, parent[order])
+    exploded = exploded.set_column(
+        1, "offset", pa.array(rank)).cast(EXPLODED_SCHEMA)
     sentinels = pa.table(
         {
             "doc_id": doc_ids,

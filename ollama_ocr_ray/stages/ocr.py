@@ -4,10 +4,10 @@ Engine analog of ``TrOCREngine`` (``/root/reference/ocr_router.py:31-46``):
 the reference constructs the model once for a whole batch run
 (``ocr_router.py:388-389``) and threads it through every call; here the
 model loads once per actor in ``__init__`` and ``__call__`` transcribes a
-whole Arrow batch.  The pipelines run it inside one actor stage with
-explode and extract (``pipelines.extract.SpanExtractor``) or per
-document (``FusedExtractor``), on the pool ``pipelines.extract.ocr_pool``
-sizes.
+whole Arrow batch of span rows.  Both plans run it inside one actor
+stage after explode and extract (``pipelines.extract.SpanExtractor``;
+``FusedExtractor`` adds a block-local reassembly), on the pool
+``pipelines.extract.ocr_pool`` sizes.
 
 The sandbox has no vision model, so the "model" is the deterministic
 transcription contract of ``spec.mock_transcript`` plus two
@@ -24,8 +24,9 @@ configurable inference-cost knobs (mirroring the determinism knobs of
 Corrupt media become inline error spans and processing continues — the
 per-page error semantics of ``ocr_router.py:296-298``.
 
-Adds an ``ocr_ms`` column (per-row amortized batch OCR latency) consumed
-by the lineage/metrics sink.
+Adds an ``ocr_ms`` column (the batch's OCR wall time amortized over its
+media-derived rows, 0 on every other row) consumed by the lineage/metrics
+sink.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..spec import (CORRUPT_SUFFIX, ERROR_TEXT, mock_transcript,
                     mode_transcript, resolve_policy)
@@ -181,6 +183,8 @@ class OcrModel:
         span.  Without one, the deterministic mock policy contract maps
         each KEY to its ordered sub-span texts (R4-R9 mode dispatch).
         """
+        if not keys:
+            return []
         if self.model is not None:
             texts = self.model(payloads)
             if len(texts) != len(payloads):
@@ -192,107 +196,61 @@ class OcrModel:
         return [mode_transcript(k, self.policy) for k in keys]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        """Span rows in, span rows out, with ``ocr_ms`` appended.
+
+        Each media row becomes its outputs in place: one error row for a
+        corrupt or missing ref, else one ``ocr`` row per transcript with
+        ``sub`` = 0..k-1 (the R9 fan-out).  Every other row passes
+        through unchanged.
+        """
         t_call = time.perf_counter()
         batch = batch.combine_chunks()
-        kind = np.asarray(batch.column("kind"))
-        is_media = kind == "media"
         n = len(batch)
-        if not is_media.any():
-            self._record(n, 0, t_call)
-            return self._stamp(
-                batch.append_column("ocr_ms", pa.array(np.zeros(n), type=pa.float64()))
-            )
-        t0 = time.perf_counter()
-        refs = batch.column("media_ref").to_pylist()
-        texts = batch.column("text").to_pylist()
-        kinds = kind.tolist()
+        is_media = pc.equal(batch.column("kind"), "media").to_numpy()
         media_idx = np.nonzero(is_media)[0]
-        status, keys, payloads = self.resolve_batch([refs[i] for i in media_idx])
+        refs = batch.column("media_ref").take(media_idx).to_pylist()
+        t0 = time.perf_counter()
+        status, keys, payloads = self.resolve_batch(refs)
         self.simulate_latency(len(keys))
         for k in keys:
             self._burn(k)
-        outs_per_ok = self.infer_texts(payloads, keys)
-        single_out = self.model is not None or self.policy == "text"
-        if single_out:
-            # fast path: exactly one output per media span, in place
-            j = 0
-            for i, st in zip(media_idx, status):
-                if st == "corrupt":
-                    kinds[i] = "error"
-                    texts[i] = ERROR_TEXT
-                elif st == "missing":
-                    kinds[i] = "error"
-                    texts[i] = self.MISSING_MEDIA.format(ref=refs[i])
-                else:
-                    kinds[i] = "ocr"
-                    texts[i] = outs_per_ok[j][0]
-                    j += 1
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            per_row = elapsed_ms / len(media_idx)
-            ocr_ms = np.zeros(n)
-            ocr_ms[media_idx] = per_row
-            self._record(n, len(media_idx), t_call)
-            return self._stamp(
-                pa.table(
-                    {
-                        "doc_id": batch.column("doc_id"),
-                        "offset": batch.column("offset"),
-                        "sub": batch.column("sub"),
-                        "kind": pa.array(kinds, type=pa.string()),
-                        "text": pa.array(texts, type=pa.string()),
-                        "media_ref": batch.column("media_ref"),
-                        "ocr_ms": pa.array(ocr_ms, type=pa.float64()),
-                    }
-                )
-            )
-        # policy path: a media span may fan into ordered sub-spans (R9)
-        docs = batch.column("doc_id").to_pylist()
-        offs = batch.column("offset").to_pylist()
-        subs = batch.column("sub").to_pylist()
-        is_media_l = is_media.tolist()
-        status_by_row = dict(zip(media_idx.tolist(), status))
-        ok_outs_iter = iter(outs_per_ok)
-        o_doc, o_off, o_sub, o_kind, o_text, o_ref, o_ms = (
-            [], [], [], [], [], [], []
-        )
-        media_out_rows = []
-        for i in range(n):
-            if not is_media_l[i]:
-                o_doc.append(docs[i]); o_off.append(offs[i])
-                o_sub.append(subs[i]); o_kind.append(kinds[i])
-                o_text.append(texts[i]); o_ref.append(refs[i])
-                o_ms.append(0.0)
-                continue
-            ref = refs[i]
-            st = status_by_row[i]
-            if st == "corrupt":
-                outs = [("error", ERROR_TEXT)]
-            elif st == "missing":
-                outs = [("error", self.MISSING_MEDIA.format(ref=ref))]
-            else:
-                outs = [("ocr", t) for t in next(ok_outs_iter)]
-            for j, (k, t) in enumerate(outs):
-                o_doc.append(docs[i]); o_off.append(offs[i])
-                o_sub.append(j); o_kind.append(k)
-                o_text.append(t); o_ref.append(ref)
-                media_out_rows.append(len(o_ms))
-                o_ms.append(0.0)
-        # amortized batch OCR latency, measured AFTER the work
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        per_row = elapsed_ms / max(1, len(media_out_rows))
-        for r in media_out_rows:
-            o_ms[r] = per_row
+        ok_outs = iter(self.infer_texts(payloads, keys))
+        outs = [
+            [("ocr", t) for t in next(ok_outs)] if st == "ok"
+            else [("error", ERROR_TEXT if st == "corrupt"
+                   else self.MISSING_MEDIA.format(ref=ref))]
+            for ref, st in zip(refs, status)
+        ]
+        counts = np.ones(n, dtype=np.int64)
+        counts[media_idx] = [len(o) for o in outs]
+        # amortized batch OCR latency over the media-derived rows,
+        # measured AFTER the work
+        per_row_ms = ((time.perf_counter() - t0) * 1e3
+                      / max(1, int(counts[media_idx].sum())))
+        rows = np.repeat(np.arange(n), counts)
+        from_media = pa.array(is_media[rows])
+        first_out = np.cumsum(counts) - counts
+        media_sub = np.arange(len(rows)) - first_out[rows]
+        out = batch.take(pa.array(rows))
         self._record(n, len(media_idx), t_call)
         return self._stamp(
             pa.table(
                 {
-                    "doc_id": pa.array(o_doc, type=pa.string()),
-                    "offset": pa.array(o_off, type=pa.int32()),
-                    "sub": pa.array(o_sub, type=pa.int32()),
-                    "kind": pa.array(o_kind, type=pa.string()),
-                    "text": pa.array(o_text, type=pa.string()),
-                    "media_ref": pa.array(o_ref, type=pa.string()),
-                    "ocr_ms": pa.array(o_ms, type=pa.float64()),
+                    "doc_id": out.column("doc_id"),
+                    "offset": out.column("offset"),
+                    "sub": pc.if_else(from_media,
+                                      pa.array(media_sub, type=pa.int32()),
+                                      out.column("sub")),
+                    "kind": pc.replace_with_mask(
+                        out.column("kind"), from_media,
+                        pa.array([k for o in outs for k, _ in o],
+                                 type=pa.string())),
+                    "text": pc.replace_with_mask(
+                        out.column("text"), from_media,
+                        pa.array([t for o in outs for _, t in o],
+                                 type=pa.string())),
+                    "media_ref": out.column("media_ref"),
+                    "ocr_ms": pc.if_else(from_media, per_row_ms, 0.0),
                 }
             )
         )

@@ -1,12 +1,15 @@
 """Span reassembly: exploded+extracted rows → one row per document.
 
-The engine's one required shuffle (SURVEY.md §2.7): ``groupby(doc_id)``
-hash-partitions the extracted span rows, then this map_groups body
-restores the exact sequence — sort by (offset, sub), drop the document
-sentinel, assign a dense 0-based ``order`` — generalizing the
-reference's page-order reassembly (``/root/reference/ocr_router.py:
-279,294,301``) to parallel, salted-split execution: order is derived
-from keys assigned *before* the split, never from arrival order.
+``reassemble_sorted_block`` restores each document's exact sequence —
+sort by (offset, sub), drop the document sentinel, assign a dense
+0-based ``order`` — generalizing the reference's page-order reassembly
+(``/root/reference/ocr_router.py:279,294,301``) to parallel, salted-split
+execution: order is derived from keys assigned *before* the split, never
+from arrival order.  The canonical plan runs it after its one required
+shuffle (SURVEY.md §2.7), a sort(doc_id) exchange folded through
+``folds.exact_segment_fold``; the fused plan runs it inside the
+extraction actor on the span rows of one input batch, which hold every
+span of their documents.
 
 Besides the contract columns (doc_id, spans) each output row carries the
 per-document metrics the reference put in its CSV summary row
@@ -40,19 +43,19 @@ REASSEMBLED_SCHEMA = pa.schema(
 def reassemble_sorted_block(batch: pa.Table) -> pa.Table:
     """Vectorized many-documents-per-call reassembly.
 
-    Input: a block of extracted span rows from ``Dataset.sort('doc_id')``
-    — every document's rows are contained in one block (the invariant
-    Ray's own ``GroupedData.map_groups`` relies on: sort range-partitions
-    on the key, rows equal to a boundary land on one side).  The sort key
-    is doc_id ONLY: a distributed sort on (doc_id, offset, sub) could
-    place a range boundary *inside* a document, so the (offset, sub)
-    ordering is restored here with one block-local vectorized sort.
+    Input: span rows holding EVERY row of each of their documents — a
+    block of ``Dataset.sort('doc_id')`` output (sort range-partitions on
+    the key, and ``exact_segment_fold`` re-folds a document whose rows
+    straddle blocks), or one extraction call's output on the fused plan.
+    The canonical sort key is doc_id ONLY: a distributed sort on
+    (doc_id, offset, sub) could place a range boundary *inside* a
+    document, so rows are put in (doc_id, offset, sub) order here with
+    one block-local vectorized sort.  Output rows come in doc_id order;
+    rows of one doc_id become one output row.
 
-    Replaces the per-document ``map_groups`` body (one Python call + one
-    1-row Arrow table per doc_id — the round-1 bench's dominant cost):
-    one call now reassembles every document in the block via segment
+    One call reassembles every document in the block via segment
     boundaries (``np.diff`` on doc codes, cumsum segment sums,
-    ``ListArray.from_arrays``).
+    ``ListArray.from_arrays``), not one Python call per document.
     """
     batch = batch.combine_chunks()
     n = len(batch)
@@ -129,46 +132,5 @@ def reassemble_sorted_block(batch: pa.Table) -> pa.Table:
             "n_spans": pa.array(lengths.astype(np.int32)),
             "n_errors": pa.array(n_errors),
             "ocr_ms": pa.array(ocr_ms, type=pa.float64()),
-        }
-    ).cast(REASSEMBLED_SCHEMA)
-
-
-def reassemble_group(group: pa.Table) -> pa.Table:
-    group = group.combine_chunks()
-    doc_id = group.column("doc_id")[0].as_py()
-    body = group.filter(pc.not_equal(group.column("kind"), DOC_SENTINEL))
-    idx = pc.sort_indices(
-        body, sort_keys=[("offset", "ascending"), ("sub", "ascending")]
-    )
-    body = body.take(idx)
-    n = len(body)
-    kinds = body.column("kind").combine_chunks()
-    texts = body.column("text").combine_chunks()
-    struct = pa.StructArray.from_arrays(
-        [
-            kinds,
-            texts,
-            body.column("media_ref").combine_chunks(),
-            pa.array(np.arange(n, dtype=np.int32)),
-        ],
-        fields=list(OUT_SPAN_STRUCT),
-    )
-    spans = pa.ListArray.from_arrays(pa.array([0, n], type=pa.int32()), struct)
-    engine = kinds[0].as_py() if n else ""
-    chars = int(pc.sum(pc.utf8_length(texts)).as_py() or 0)
-    n_errors = int(pc.sum(pc.equal(kinds, "error")).as_py() or 0)
-    if "ocr_ms" in group.column_names:
-        ocr_ms = float(pc.sum(body.column("ocr_ms")).as_py() or 0.0)
-    else:
-        ocr_ms = 0.0
-    return pa.table(
-        {
-            "doc_id": pa.array([doc_id]),
-            "spans": spans,
-            "engine": pa.array([engine]),
-            "chars": pa.array([chars], type=pa.int64()),
-            "n_spans": pa.array([n], type=pa.int32()),
-            "n_errors": pa.array([n_errors], type=pa.int32()),
-            "ocr_ms": pa.array([ocr_ms], type=pa.float64()),
         }
     ).cast(REASSEMBLED_SCHEMA)

@@ -129,6 +129,29 @@ def test_summary_table(ray_session, corpus, expected):
         assert row["engine"] == (spans[0][0] if spans else "")
 
 
+def test_stats_agree_across_plans(ray_session, corpus):
+    """Both plans report the same per-document stats, and charge OCR
+    latency only to documents that have media spans."""
+    stats = ["engine", "chars", "n_spans", "n_errors"]
+    by_plan = [
+        {r["doc_id"]: r for r in _collect(out.select_columns(
+            ["doc_id", *stats, "ocr_ms"])).to_pylist()}
+        for out in (
+            fused_pipeline(rd.from_arrow(corpus), with_stats=True,
+                           batch_size=32, concurrency=2),
+            extract_pipeline(rd.from_arrow(corpus), with_stats=True,
+                             ocr_batch_size=64, ocr_concurrency=2),
+        )
+    ]
+    fused, canonical = by_plan
+    assert set(fused) == set(canonical) == set(corpus["doc_id"].to_pylist())
+    for doc in corpus.to_pylist():
+        f, c = fused[doc["doc_id"]], canonical[doc["doc_id"]]
+        assert [f[k] for k in stats] == [c[k] for k in stats]
+        if not any(s["kind"] == "media" for s in doc["spans"]):
+            assert f["ocr_ms"] == c["ocr_ms"] == 0.0, doc["doc_id"]
+
+
 def test_very_wide_doc_canonical(ray_session):
     """SURVEY §7.3: a single doc with 10k media spans must flow through
     the canonical plan without blowing a block — span-granular explode

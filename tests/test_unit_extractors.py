@@ -14,7 +14,8 @@ from ollama_ocr_ray.stages.extract import extract_batch
 from ollama_ocr_ray.stages.html_extract import extract_html_stage
 from ollama_ocr_ray.stages.ocr import OcrModel
 from ollama_ocr_ray.stages.pdf_parse import parse_pdf_stage
-from ollama_ocr_ray.stages.reassemble import reassemble_group
+from ollama_ocr_ray.pipelines.extract import FusedExtractor
+from ollama_ocr_ray.stages.reassemble import reassemble_sorted_block
 
 
 # --- HTML -------------------------------------------------------------------
@@ -120,17 +121,14 @@ def test_explode_emits_sentinels_and_spans():
 def test_batch_roundtrip_matches_oracle():
     t = synth.gen_table(40, seed=7)
     spans = OcrModel()(extract_batch(explode_batch(t)))
-    expected = oracle.extract_corpus(t)
-    got = {}
-    for doc_id in expected:
-        import pyarrow.compute as pc
-
-        grp = spans.filter(pc.equal(spans.column("doc_id"), doc_id))
-        row = reassemble_group(grp).to_pylist()[0]
-        got[doc_id] = [
-            (s["kind"], s["text"], s["media_ref"], s["order"]) for s in row["spans"]
+    got = {
+        row["doc_id"]: [
+            (s["kind"], s["text"], s["media_ref"], s["order"])
+            for s in row["spans"]
         ]
-    assert got == expected
+        for row in reassemble_sorted_block(spans).to_pylist()
+    }
+    assert got == oracle.extract_corpus(t)
 
 
 def test_empty_doc_preserved():
@@ -146,7 +144,7 @@ def test_empty_doc_preserved():
         schema=synth.DOCUMENTS_SCHEMA,
     )
     spans = OcrModel()(extract_batch(explode_batch(t)))
-    row = reassemble_group(spans).to_pylist()[0]
+    row = reassemble_sorted_block(spans).to_pylist()[0]
     assert row["doc_id"] == "d-empty" and row["spans"] == []
 
 
@@ -177,16 +175,25 @@ def test_corpus_has_all_fixture_features():
     assert corrupt > 0 and heavy > 0
 
 
+def _three_way_spans(doc: dict) -> list[list[dict]]:
+    """One document's output spans from the oracle, the canonical
+    kernel (span rows, then reassembly) and ``FusedExtractor``."""
+    t = pa.Table.from_pylist([doc], schema=synth.DOCUMENTS_SCHEMA)
+    spans = OcrModel()(extract_batch(explode_batch(t)))
+    return [
+        oracle.extract_document(doc)["spans"],
+        reassemble_sorted_block(spans).to_pylist()[0]["spans"],
+        FusedExtractor()(t).to_pylist()[0]["spans"],
+    ]
+
+
 def test_unknown_kind_becomes_error_span_everywhere():
     """Unknown span kinds yield the same inline error span in oracle,
     canonical stages, and fused extractor (found by a verify probe)."""
-    from ollama_ocr_ray.pipelines.extract import FusedExtractor
-
     doc = {
         "doc_id": "d-bad",
         "spans": [{"kind": "video", "text": "", "media_ref": "m://x", "offset": 0}],
     }
-    t = pa.Table.from_pylist([doc], schema=synth.DOCUMENTS_SCHEMA)
     expected = [
         {
             "kind": "error",
@@ -195,7 +202,24 @@ def test_unknown_kind_becomes_error_span_everywhere():
             "order": 0,
         }
     ]
-    assert oracle.extract_document(doc)["spans"] == expected
-    spans = OcrModel()(extract_batch(explode_batch(t)))
-    assert reassemble_group(spans).to_pylist()[0]["spans"] == expected
-    assert FusedExtractor()(t).to_pylist()[0]["spans"] == expected
+    assert _three_way_spans(doc) == [expected] * 3
+
+
+def test_shared_offset_keeps_input_order_everywhere():
+    """Spans of one document that share an offset keep their input
+    order on every path, whatever their kinds: the per-kind extraction
+    groups rows by kind, and offset ties must not fall back to that
+    grouping."""
+    doc = {
+        "doc_id": "d-tie",
+        "spans": [
+            {"kind": "text", "text": "last", "media_ref": "", "offset": 5},
+            {"kind": "text", "text": "first", "media_ref": "", "offset": 0},
+            {"kind": "media", "text": "", "media_ref": "media://a/0",
+             "offset": 0},
+        ],
+    }
+    for spans in _three_way_spans(doc):
+        assert [(s["kind"], s["order"]) for s in spans] == [
+            ("text", 0), ("ocr", 1), ("text", 2)]
+        assert (spans[0]["text"], spans[2]["text"]) == ("first", "last")
