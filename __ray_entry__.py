@@ -12,9 +12,9 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline: synthesize the interleaved text+media corpus at
-    smoke scale, run the canonical salted-split extraction plan, return
-    the per-document summary table (doc_id, engine, chars, spans,
-    errors)."""
+    smoke scale, run the extraction (``auto_pipeline``: bounded probe,
+    then the one fused plan), return the per-document summary table
+    (doc_id, engine, chars, spans, errors)."""
     from ollama_ocr_ray.queries import q_extract_canonical
 
     return q_extract_canonical("/root/testdata/sf0.001")

@@ -142,8 +142,8 @@ def materialize_scaling_corpus(n_docs: int) -> str:
     return path
 
 
-def scaling_child(num_cpus: int, corpus: str, burn: int, latency_ms: float,
-                  plan: str) -> None:
+def scaling_child(num_cpus: int, corpus: str, burn: int,
+                  latency_ms: float) -> None:
     """One fresh-process run of the headline extraction at num_cpus."""
     _init_ray(num_cpus)
     import ray.data as rd
@@ -170,7 +170,6 @@ def scaling_child(num_cpus: int, corpus: str, burn: int, latency_ms: float,
         docs,
         ocr_burn=burn,
         ocr_latency_ms=latency_ms,
-        plan=None if plan == "auto" else plan,
     )
     n = 0
     n_first = 0
@@ -208,7 +207,7 @@ def scaling_child(num_cpus: int, corpus: str, burn: int, latency_ms: float,
     ray.shutdown()
 
 
-def run_scaling(plan: str = "auto", legs: tuple = (1, 4)) -> None:
+def run_scaling(legs: tuple = (1, 4)) -> None:
     """Two fresh-process runs at ``legs`` CPUs (must be N and 4N).
     Default 1/4; on a larger host pick a pair that leaves headroom for
     other tenants (e.g. ``--scaling-cpus 4 16`` on 32 cores), so the
@@ -235,8 +234,6 @@ def run_scaling(plan: str = "auto", legs: tuple = (1, 4)) -> None:
                 str(SCALE_BURN),
                 "--latency-ms",
                 str(SCALE_LATENCY_MS),
-                "--plan",
-                plan,
             ],
             capture_output=True,
             text=True,
@@ -284,18 +281,15 @@ def main() -> None:
     ap.add_argument("--corpus", default=None)
     ap.add_argument("--burn", type=int, default=SCALE_BURN)
     ap.add_argument("--latency-ms", type=float, default=SCALE_LATENCY_MS)
-    ap.add_argument("--plan", default="auto",
-                    choices=["auto", "fused", "canonical"])
     ap.add_argument("--sf-dir", default=SF_DIR)
     ap.add_argument("--scaling-cpus", type=int, nargs=2,
                     default=[1, 4], metavar=("N", "4N"))
     args = ap.parse_args()
 
     if args.scaling_child:
-        scaling_child(args.cpus, args.corpus, args.burn, args.latency_ms,
-                      args.plan)
+        scaling_child(args.cpus, args.corpus, args.burn, args.latency_ms)
     elif args.scaling:
-        run_scaling(args.plan, tuple(args.scaling_cpus))
+        run_scaling(tuple(args.scaling_cpus))
     else:
         run_queries(args.sf_dir, args.cpus)
 

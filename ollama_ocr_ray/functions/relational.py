@@ -1060,67 +1060,6 @@ def events_sliding(events, window_minutes: int = 60, slide_minutes: int = 15):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def top_orders_per_segment(orders, customer_lookup: dict, n: int = 3):
-    """Grouped top-N (the row_number() window pattern): the N highest-
-    value orders per market segment, ties broken by o_orderkey.
-
-    Per-batch partial top-N per segment keeps the exchange at
-    N x segments x batches rows; the final per-group sort touches only
-    partial winners, never the orders table."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        cust = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        seg = np.array(
-            [customer_lookup.get(int(c), "UNKNOWN") for c in cust],
-            dtype=object,
-        )
-        cents = np.floor(
-            batch.column("o_totalprice").to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5
-        ).astype(np.int64)
-        keys = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        out_s, out_k, out_c = [], [], []
-        for s in np.unique(seg):
-            m = seg == s
-            # sort by (-cents, orderkey): top-N with deterministic ties
-            order = np.lexsort((keys[m], -cents[m]))[:n]
-            out_s.extend([s] * len(order))
-            out_k.extend(keys[m][order].tolist())
-            out_c.extend(cents[m][order].tolist())
-        return pa.table(
-            {
-                "c_mktsegment": pa.array(out_s, type=pa.string()),
-                "o_orderkey": pa.array(out_k, type=pa.int64()),
-                "cents": pa.array(out_c, type=pa.int64()),
-            }
-        )
-
-    partials = orders.map_batches(partial, batch_format="pyarrow")
-
-    def final_group(group: pa.Table) -> pa.Table:
-        group = group.combine_chunks()
-        cents = group.column("cents").to_numpy(zero_copy_only=False)
-        keys = group.column("o_orderkey").to_numpy(zero_copy_only=False)
-        order = np.lexsort((keys, -cents))[:n]
-        return pa.table(
-            {
-                "c_mktsegment": group.column("c_mktsegment").take(
-                    pa.array(order)
-                ),
-                "rank": pa.array(
-                    np.arange(1, len(order) + 1, dtype=np.int64)
-                ),
-                "o_orderkey": pa.array(keys[order], type=pa.int64()),
-                "o_totalprice": pa.array(cents[order] / 100.0),
-            }
-        )
-
-    return partials.groupby("c_mktsegment").map_groups(
-        final_group, batch_format="pyarrow"
-    )
-
-
 def segment_revenue_join(orders, customer):
     """Per-market-segment order totals with NO driver-side customer
     state (VERDICT r3 #1: customer is fact-proportional — TPC-H 150k

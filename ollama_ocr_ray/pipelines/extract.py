@@ -1,25 +1,17 @@
 """Pipeline composition: documents Dataset → extracted Dataset.
 
-Two physical plans run ONE extraction kernel (``SpanExtractor``:
-explode, per-kind extract and OCR in one actor call, then
-``reassemble_sorted_block``) and give identical output under the
-span-equality contract.  They differ only in where the reassembly runs:
+One physical plan: ``fused_pipeline`` runs the extraction kernel
+(``SpanExtractor``: explode, per-kind extract and OCR) and
+``reassemble_sorted_block`` in ONE actor call (``FusedExtractor``).  A
+document is one input row, so all of its span rows come out of one
+call and no exchange is needed (operator fusion).  The skew unit is
+the batch: a single media-heavy document's OCR calls run inside one
+actor call (the reference's sequential 100-page-PDF problem,
+``ocr_router.py:279-298``).
 
-``extract_pipeline`` — the canonical salted-split plan of SURVEY.md §3.4:
-    the actor stage emits span rows and a sort(doc_id) exchange
-    reassembles them.  The exchange bounds the reassembly's skew; the
-    OCR calls of one media-heavy document still run inside one actor
-    call (the reference's sequential 100-page-PDF problem,
-    ``/root/reference/ocr_router.py:279-298``).
-
-``fused_pipeline`` — the zero-shuffle plan (operator fusion): the same
-    actor call reassembles its own span rows (``FusedExtractor``).  A
-    document is one input row, so all of its span rows come from one
-    batch and no exchange is needed; the skew unit is the whole batch,
-    so a single pathological document serializes on one actor.
-
-``auto_pipeline`` (and the resumable runner) picks between them with a
-bounded skew probe (``choose_plan``).
+``auto_pipeline`` (and the resumable runner) take a bounded probe of
+the input (``choose_plan``) whose sample sizes the actor pool
+(``ocr_pool``).
 """
 
 from __future__ import annotations
@@ -35,16 +27,7 @@ from ..schema import SUMMARY_SCHEMA
 from ..stages.explode import explode_batch
 from ..stages.extract import extract_batch
 from ..stages.ocr import OcrModel
-from ..stages.reassemble import REASSEMBLED_SCHEMA, reassemble_sorted_block
-
-# the span-row layout entering the reassembly exchange (explode →
-# extract → OCR output); exact_segment_fold needs it statically
-SPAN_ROW_SCHEMA = pa.schema(
-    [("doc_id", pa.string()), ("offset", pa.int32()), ("sub", pa.int32()),
-     ("kind", pa.string()), ("text", pa.string()),
-     ("media_ref", pa.string()), ("ocr_ms", pa.float64())]
-)
-
+from ..stages.reassemble import reassemble_sorted_block
 
 _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
 # The pool rule's two costs, measured on a 4-CPU host (BASELINE.md r6):
@@ -69,7 +52,6 @@ class DocProbe(NamedTuple):
     docs: int           # documents in the sample
     exact: bool         # the sample is the whole input
     media_mean: float   # media spans per sampled document
-    media_max: int      # most media spans in one sampled document
 
 
 class OcrPool(NamedTuple):
@@ -99,7 +81,7 @@ def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
              probe: DocProbe | None = None, cap: int | None = None,
              num_cpus: float | None = None, batch_size: int | None = None,
              pipelines: int = 1) -> OcrPool:
-    """The one sizing rule for the extraction actor pool (both plans).
+    """The one sizing rule for the extraction actor pool.
 
     Footprint: latency-bound inference (GPU/remote model, the
     reference's real profile, ``ollama_local_ocr.py:202``) sleeps more
@@ -157,107 +139,30 @@ class SpanExtractor:
         )
 
 
-def _extraction_stage(docs, stage_cls, pool: OcrPool, **ctor_kwargs):
-    """The one extraction actor stage of either plan, on ``pool``."""
-    return docs.map_batches(
-        stage_cls,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_constructor_kwargs=ctor_kwargs,
-        **pool.map_kwargs(),
-    )
-
-
-def extract_pipeline(
-    docs,
-    *,
-    ocr_burn: int = 0,
-    ocr_latency_ms: float = 0.0,
-    ocr_batch_size: int = 512,
-    ocr_concurrency: int | None = None,
-    ocr_num_cpus=None,
-    policy: str = "text",
-    offset_range=None,
-    media_store=None,
-    with_stats: bool = False,
-    reassembly_partitions: int | None = None,
-    model=None,
-    metrics_sink=None,
-    metrics_tag=None,
-    probe: DocProbe | None = None,
-):
-    """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA [+stats]).
-
-    Canonical plan: explode/extract/OCR in one actor stage
-    (``SpanExtractor``, pool from ``ocr_pool`` capped at
-    ``ocr_concurrency``) + one sort(doc_id) exchange for reassembly.
-    """
-    pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-                    probe=probe, cap=ocr_concurrency, num_cpus=ocr_num_cpus,
-                    batch_size=ocr_batch_size)
-    # The streaming executor reserves ~50% of CPUs per operator; with
-    # three exchange operators downstream that halves the OCR pool's
-    # effective task budget (measured: 64 of 110 actors busy).  The
-    # pool already leaves explicit CPU slack, so release the
-    # reservation.  Scope caveat: ``docs.context`` is this DATASET's
-    # context (not the process singleton), but pipelines later derived
-    # from the SAME ``docs`` object inherit it — callers that reuse one
-    # Dataset across pipelines should pass a fresh read (every caller
-    # in this repo does).
-    docs.context.op_resource_reservation_enabled = False
-    spans = _extraction_stage(
-        docs, SpanExtractor, pool, offset_range=offset_range,
-        burn_iters=ocr_burn, latency_ms=ocr_latency_ms, policy=policy,
-        media_store=media_store, model=model, metrics_sink=metrics_sink,
-        metrics_tag=metrics_tag)
-    # Coalesce map-output blocks before the exchange: every sort-map,
-    # sort-reduce and reassemble task downstream costs one driver
-    # dispatch, and the driver sustains only ~16-44 dispatches/s on
-    # this host (BASELINE.md §dispatch) — trimming 214->64 blocks cut
-    # the post-barrier tail ~2x at 120k docs.  The default targets
-    # 2 blocks/CPU; at larger scale pass ``reassembly_partitions`` to
-    # keep post-shuffle blocks near the ~128 MB target.  CAVEAT
-    # (measured, BASELINE.md r3): on a SMALL corpus the default EXPANDS
-    # the block count (8 read blocks -> 64), and those 64 post-sort
-    # dispatches cost ~1-2 s — pass 0 to skip the coalesce entirely
-    # when the input is already a handful of blocks.
-    if reassembly_partitions is None:
-        reassembly_partitions = max(16, 2 * _cluster_cpus())
-    if reassembly_partitions:
-        spans = spans.repartition(reassembly_partitions)
-    # Reassembly exchange: sort on doc_id ONLY (a multi-key distributed
-    # sort could place a range boundary inside a document), then one
-    # vectorized many-docs-per-block pass — not groupby().map_groups,
-    # whose per-group Python call dominated the round-1 bench (2.1x the
-    # fused plan; see reassemble_sorted_block docstring).  The fold runs
-    # through exact_segment_fold (round-4 hardening): a document whose
-    # span rows exceed the block-size target splits its sorted run, and
-    # the old per-block pass would emit it twice with partial spans —
-    # the O2 ordering invariant's one remaining hole.
-    from ..functions.folds import exact_segment_fold
-
-    out = exact_segment_fold(
-        spans.sort("doc_id"), key_cols=["doc_id"],
-        fold=reassemble_sorted_block,
-        raw_schema=SPAN_ROW_SCHEMA, out_schema=REASSEMBLED_SCHEMA,
-        op="reassemble",
-    )
-    if with_stats:
-        return out
-    return out.select_columns(["doc_id", "spans"])
-
-
 class FusedExtractor(SpanExtractor):
-    """The fused plan's stage: ``SpanExtractor``'s kernel, then
+    """The extraction stage: ``SpanExtractor``'s kernel, then
     ``reassemble_sorted_block`` on the call's own span rows — every
     document is one input row, so its span rows never leave the call.
-    Output is projected to (doc_id, spans) unless ``with_stats``."""
+    Output is projected to (doc_id, spans) unless ``with_stats``.
+
+    Input contract: ``doc_id`` is unique across the input, as for the
+    incremental index (``state.dedup_index.ingest_neardup``).  A batch
+    that repeats an id raises ``ValueError`` (its span ranks would
+    collide and the rows would merge into one interleaved document); a
+    repeat across batches is not detected and gives two output rows."""
 
     def __init__(self, with_stats: bool = False, **kwargs):
         super().__init__(**kwargs)
         self.with_stats = with_stats
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id")
+        if pc.count_distinct(ids, mode="all").as_py() != len(ids):
+            counts = ids.value_counts()
+            dup = counts.field("values").filter(
+                pc.greater(counts.field("counts"), 1))[0]
+            raise ValueError(f"duplicate doc_id {dup.as_py()!r} in one "
+                             "input batch; doc_id must be unique")
         out = reassemble_sorted_block(super().__call__(batch))
         return out if self.with_stats else out.select(["doc_id", "spans"])
 
@@ -269,38 +174,45 @@ def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                    media_store=None, with_stats: bool = False, model=None,
                    metrics_sink=None, metrics_tag=None,
                    probe: DocProbe | None = None):
-    """documents Dataset → extracted Dataset, zero-shuffle plan (pool
-    from ``ocr_pool``, capped at ``concurrency``)."""
+    """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA
+    [+stats]): one ``FusedExtractor`` actor stage on the pool
+    ``ocr_pool`` sizes, capped at ``concurrency``."""
     pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
                     probe=probe, cap=concurrency, num_cpus=num_cpus,
                     batch_size=batch_size)
-    return _extraction_stage(
-        docs, FusedExtractor, pool, with_stats=with_stats,
-        offset_range=offset_range, burn_iters=ocr_burn,
-        latency_ms=ocr_latency_ms, policy=policy, media_store=media_store,
-        model=model, metrics_sink=metrics_sink, metrics_tag=metrics_tag)
+    return docs.map_batches(
+        FusedExtractor,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_constructor_kwargs=dict(
+            with_stats=with_stats, offset_range=offset_range,
+            burn_iters=ocr_burn, latency_ms=ocr_latency_ms, policy=policy,
+            media_store=media_store, model=model,
+            metrics_sink=metrics_sink, metrics_tag=metrics_tag),
+        **pool.map_kwargs(),
+    )
 
 
-def choose_plan(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
-                skew_threshold_s: float = 5.0, sample_docs: int = 512,
-                with_probe: bool = False):
-    """Pick the physical plan from a bounded skew probe.
+def check_plan(plan: str | None) -> None:
+    """``None``, ``"auto"`` and ``"fused"`` all name the one plan; any
+    other name (``"canonical"`` included) is a removed plan."""
+    if plan not in (None, "auto", "fused"):
+        raise ValueError(
+            f"extraction plan {plan!r} was removed: 'fused' is the only "
+            "plan (pass None, 'auto' or 'fused')")
 
-    The skew unit of the fused plan is a whole document; its worst case
-    is one doc monopolizing an actor for ``max_media_spans x per-span
-    cost``.  Probe the first ``sample_docs`` documents (1-2 input
-    blocks, re-read by the main run — bounded cost at any corpus
-    size), estimate that worst case, and fall back to the canonical
-    salted-split plan when it exceeds ``skew_threshold_s``.  A sample
-    can miss rare pathological docs: callers that KNOW their corpus is
-    heavy-tailed should force ``plan='canonical'`` (the guaranteed-
-    bounded plan); the probe is a default, not a proof.
 
-    ``with_probe=True`` returns ``(plan, DocProbe)`` so the same sample
-    also sizes the actor pool (``ocr_pool``).
+def choose_plan(docs, *, ocr_latency_ms: float = 0.0,
+                sample_docs: int = 512, with_probe: bool = False):
+    """Probe the first ``sample_docs`` documents (1-2 input blocks,
+    re-read by the main run — bounded cost at any corpus size) and
+    return the plan, always ``"fused"``.
+
+    ``with_probe=True`` returns ``("fused", DocProbe)`` so the sample
+    sizes the actor pool (``ocr_pool``).  ``ocr_latency_ms`` does not
+    change the answer; it is accepted so a caller can pass the probe
+    the latency it passes ``auto_pipeline``.
     """
-    import numpy as np
-
     try:
         sample = docs.limit(sample_docs).take_batch(
             sample_docs, batch_format="pyarrow"
@@ -310,70 +222,37 @@ def choose_plan(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
         # dataset: nothing to probe.  Real read errors (corrupt
         # parquet, permissions) propagate.
         sample = None
-    media_per_doc = np.zeros(0, dtype=np.int64)
+    n = media = 0
     if sample is not None:
         spans = sample["spans"]
+        n = len(spans)
         kinds = pc.struct_field(pc.list_flatten(spans), "kind")
-        # per-doc media counts: segment the flattened kind array by
-        # offsets
-        lengths = np.asarray(pc.list_value_length(spans))
-        is_media = np.asarray(pc.equal(kinds, "media"))
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        csum = np.concatenate([[0], np.cumsum(is_media.astype(np.int64))])
-        media_per_doc = csum[ends] - csum[starts]
-    n = len(media_per_doc)
-    probe = DocProbe(n, n < sample_docs,
-                     float(media_per_doc.mean()) if n else 0.0,
-                     int(media_per_doc.max(initial=0)))
-    per_span_ms = ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
-    worst_s = probe.media_max * per_span_ms / 1e3
-    plan = "canonical" if worst_s > skew_threshold_s else "fused"
-    return (plan, probe) if with_probe else plan
+        media = pc.sum(pc.equal(kinds, "media")).as_py() or 0
+    probe = DocProbe(n, n < sample_docs, media / n if n else 0.0)
+    return ("fused", probe) if with_probe else "fused"
 
 
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                   policy: str = "text", offset_range=None,
-                  ocr_batch_size: int | None = None,
                   ocr_concurrency: int | None = None,
                   ocr_num_cpus=None, with_stats: bool = False,
                   plan: str | None = None, model=None):
-    """The engine's default: probe skew, then run the fused
-    (zero-shuffle) plan for bounded-skew corpora or the canonical
-    salted-split plan for heavy-tailed ones.  Returns (plan_name, ds).
-    The probe's sample also sizes the actor pool; with ``plan`` given
-    there is no probe and the pool gets its cap.
-
-    Tuning kwargs use the canonical (``ocr_``-prefixed) names and are
-    translated for the fused plan, so callers can pass them portably —
-    the probe, not the caller, decides which plan runs.  An explicit
-    ``ocr_batch_size`` is only forwarded to the canonical plan (whose
-    default batch is larger).
+    """The engine's default: probe the input, then run the fused plan
+    on a pool sized from the probe's sample.  Returns (plan_name, ds).
+    ``plan`` is checked by ``check_plan``; with ``plan="fused"`` there
+    is no probe and the pool gets its cap.
     """
+    check_plan(plan)
     probe = None
-    if plan is None:
-        plan, probe = choose_plan(docs, ocr_burn=ocr_burn,
-                                  ocr_latency_ms=ocr_latency_ms,
-                                  with_probe=True)
-    if plan == "fused":
-        out = fused_pipeline(docs, ocr_burn=ocr_burn,
-                             ocr_latency_ms=ocr_latency_ms,
-                             policy=policy, offset_range=offset_range,
-                             concurrency=ocr_concurrency,
-                             num_cpus=ocr_num_cpus,
-                             with_stats=with_stats, model=model,
-                             probe=probe)
-    else:
-        out = extract_pipeline(docs, ocr_burn=ocr_burn,
-                               ocr_latency_ms=ocr_latency_ms,
-                               policy=policy, offset_range=offset_range,
-                               ocr_concurrency=ocr_concurrency,
-                               ocr_num_cpus=ocr_num_cpus,
-                               with_stats=with_stats, model=model,
-                               probe=probe,
-                               **({} if ocr_batch_size is None
-                                  else {"ocr_batch_size": ocr_batch_size}))
-    return plan, out
+    if plan in (None, "auto"):
+        plan, probe = choose_plan(docs, with_probe=True)
+    return plan, fused_pipeline(docs, ocr_burn=ocr_burn,
+                                ocr_latency_ms=ocr_latency_ms,
+                                policy=policy, offset_range=offset_range,
+                                concurrency=ocr_concurrency,
+                                num_cpus=ocr_num_cpus,
+                                with_stats=with_stats, model=model,
+                                probe=probe)
 
 
 def summary_table(extracted_with_stats):

@@ -371,19 +371,14 @@ def q_pca_gate(sf_dir: str):
 
 
 def q_extract_canonical(sf_dir: str):
-    from .pipelines.extract import extract_pipeline, summary_table
-    from .sources.io import read_documents
+    """The flagship extraction (``auto_pipeline``: bounded probe, then
+    the one plan on a probe-sized pool, capped at 8 actors for
+    test-scale corpora) as the per-document summary table."""
+    from .pipelines.extract import auto_pipeline, summary_table
 
-    docs = read_documents(_corpus_path(sf_dir))
-    # test-scale corpora (<=2k docs): a small fixed pool beats spinning
-    # the full 2-actors-per-CPU fleet (~5s spin for an 8s query), and
-    # reassembly_partitions=0 skips the pre-sort coalesce — the default
-    # would EXPAND 8 read blocks to 64 and pay ~1-2 s of post-sort
-    # driver dispatch (measured, BASELINE.md r3)
-    return summary_table(
-        extract_pipeline(docs, with_stats=True, ocr_concurrency=8,
-                         reassembly_partitions=0)
-    )
+    _, out = auto_pipeline(_read_corpus(sf_dir), with_stats=True,
+                           ocr_concurrency=8)
+    return summary_table(out)
 
 
 def q_extract_fused(sf_dir: str):
@@ -437,21 +432,20 @@ def _digest_rows(rows: list[dict]) -> pa.Table:
 
 
 def q_extract_parity(sf_dir: str):
-    """Fused-vs-canonical plan parity as a driver-checkable query
-    (VERDICT r2 #4): one row per doc whose span digest differs between
-    the two plans or which is missing from either — EXPECTED EMPTY, so
-    the SQL oracle is the empty table.  Distributed compare: both plans'
-    digests union into (doc_id, digest, side) rows, ONE sort co-locates
-    each doc's pair, and a vectorized block pass flags bad segments
-    (same sorted-block invariant as ``relational.hash_join``)."""
-    from .pipelines.extract import extract_pipeline, fused_pipeline
+    """The probe-sized ``auto_pipeline`` path vs the independent
+    sequential oracle as an oracle-checked registry query (VERDICT r2
+    #4): one row per doc whose span digest differs between the two or which is
+    missing from either — EXPECTED EMPTY, so the SQL oracle is the
+    empty table.  Distributed compare: both sides' digests union into
+    (doc_id, digest, side) rows, ONE sort co-locates each doc's pair,
+    and a vectorized block pass flags bad segments (same sorted-block
+    invariant as ``relational.hash_join``)."""
+    from .pipelines.extract import auto_pipeline
 
-    fused = fused_pipeline(_read_corpus(sf_dir), concurrency=8) \
-        .map_batches(_spans_digest, batch_format="pyarrow")
-    canon = extract_pipeline(_read_corpus(sf_dir), ocr_concurrency=8,
-                             reassembly_partitions=0) \
-        .map_batches(_spans_digest, batch_format="pyarrow")
-    return _digest_parity(fused, canon)
+    _, out = auto_pipeline(_read_corpus(sf_dir), ocr_concurrency=8)
+    return _digest_parity(
+        out.map_batches(_spans_digest, batch_format="pyarrow"),
+        _oracle_digests(sf_dir, "text"))
 
 
 def _digest_parity(a_ds, b_ds, key: str = "doc_id") -> pa.Table:
@@ -576,11 +570,11 @@ def q_extract_multi(sf_dir: str):
 
 
 def q_extract_text_oracle(sf_dir: str):
-    """Default-policy parity vs the independent sequential oracle —
-    closes the extraction verification chain in the driver file:
-    oracle ↔ fused here (text policy), fused ↔ canonical in
-    ``extract_parity``, so both physical plans are transitively checked
-    against the oracle on every driver run (not just in pytest)."""
+    """Default-policy parity vs the independent sequential oracle on
+    ``fused_pipeline`` with an explicit pool; ``extract_parity`` checks
+    the probe-sized ``auto_pipeline`` path against the same oracle, so
+    both entry points are checked on every registry run (not just in
+    pytest)."""
     return _policy_oracle_gate(sf_dir, "text")
 
 
@@ -782,7 +776,7 @@ def q_lang_sample(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang"])
     # fan_in=4 at test scale: the default 64 would EXPAND the handful of
     # candidate blocks and pay post-repartition dispatch for nothing
-    # (same caveat as extract's reassembly_partitions, BASELINE.md r3)
+    # (measured, BASELINE.md r3)
     return sampling.sample_stratified(ds, stratum_col="lang", k=20,
                                       seed=9176, fan_in=4)
 
@@ -2896,10 +2890,10 @@ def _base_oracles() -> dict:
             SELECT CAST(5 AS BIGINT) AS n_queries,
                    CAST(TRUE AS BOOLEAN) AS mean_recall_ok
         """,
-        # plan parity is defined by ZERO mismatching docs, so the oracle
-        # is the empty table with the same schema; extract_multi and
-        # extract_structured are the same gate against the independent
-        # sequential oracle (policy variants)
+        # extraction parity is defined by ZERO mismatching docs against
+        # the independent sequential oracle, so the oracle is the empty
+        # table with the same schema; extract_multi and
+        # extract_structured are the same gate (policy variants)
         "extract_parity": """
             SELECT CAST(NULL AS VARCHAR) AS doc_id,
                    CAST(NULL AS VARCHAR) AS reason

@@ -94,8 +94,6 @@ def main(argv=None) -> int:
     ap.add_argument("--n-shards", type=int, default=16,
                     help="export job: output shard count (the resume "
                          "unit of the packing phase)")
-    ap.add_argument("--plan", choices=["auto", "canonical", "fused"],
-                    default="auto")
     ap.add_argument("--policy", default="text",
                     help="extraction policy (reference --mode dispatch); "
                          "unknown names fail fast at actor construction")
@@ -109,7 +107,6 @@ def main(argv=None) -> int:
                          "or a dotted module:attr path; default = the "
                          "deterministic mock policy contract "
                          "(stages/engines.py)")
-    ap.add_argument("--ocr-batch-size", type=int, default=512)
     ap.add_argument("--ocr-concurrency", type=int, default=None,
                     help="extract job: cap on OCR actors per partition "
                          "pool (default: ~3.5 per CPU for latency-bound "
@@ -153,7 +150,6 @@ def main(argv=None) -> int:
         if args.job == "ingest":
             _warn_ignored("ingest",
                           [("--model", args.model, None),
-                           ("--plan", args.plan, "auto"),
                            ("--wave", args.wave, 4),
                            ("--shuffle-seed", args.shuffle_seed, None),
                            ("--partition-by", args.partition_by, None),
@@ -179,7 +175,6 @@ def main(argv=None) -> int:
                                  "(a prep/curate output data dir)")
             _warn_ignored("export",
                           [("--model", args.model, None),
-                           ("--plan", args.plan, "auto"),
                            ("--wave", args.wave, 4),
                            ("--shuffle-seed", args.shuffle_seed, None),
                            ("--partition-by", args.partition_by, None)]
@@ -198,7 +193,6 @@ def main(argv=None) -> int:
             return 0
         if args.job in ("prep", "curate"):
             ignored = [("--model", args.model, None),
-                       ("--plan", args.plan, "auto"),
                        ("--wave", args.wave, 4)] + index_flags
             if args.job == "curate":
                 # run_curate takes neither flag; warn instead of
@@ -262,12 +256,10 @@ def main(argv=None) -> int:
         summary = run_extract(
             args.input,
             args.output,
-            plan=args.plan,
             policy=args.policy,
             model=resolve_model(args.model),
             ocr_burn=args.ocr_burn,
             ocr_latency_ms=args.ocr_latency_ms,
-            ocr_batch_size=args.ocr_batch_size,
             ocr_concurrency=args.ocr_concurrency,
             wave=args.wave,
             max_partitions=args.max_partitions,

@@ -1,12 +1,12 @@
 """Span explode: documents rows → one row per span.
 
-This is the engine's salted-split skew mitigation (SURVEY.md §4.3): a
-media-heavy document (the reference's 100-page-PDF-in-line problem,
-``ocr_router.py:279-298``) is decomposed to span granularity *before*
-the expensive stages, so its spans spread across many blocks/actors; the
+The first step of the extraction kernel (``pipelines.extract.SpanExtractor``):
+each document is decomposed to span rows so the per-kind extractors and
+OCR run vectorized over a whole batch.  All span rows of a document stay
+in the actor call that exploded it (the reference's 100-page-PDF-in-line
+problem, ``ocr_router.py:279-298``, is not split across actors); the
 (offset, sub) keys assigned here let ``reassemble_sorted_block`` restore
-the exact sequence, after the canonical plan's sort(doc_id) exchange and
-``exact_segment_fold``, or inside the fused plan's actor call.
+the exact sequence inside the same call (``FusedExtractor``).
 
 A sentinel row (kind='__doc__', offset=-1) is emitted per document so
 documents whose spans all extract to nothing still appear (with an empty

@@ -10,17 +10,16 @@ At 100 TB the engine instead treats media as columns:
           width:int32, height:int32, n_frames:int32, sample_rate:int32)
 
 and every media transform is a stateful stage over Arrow batches.  The
-actual codec work (JPEG decode, audio resample, video frame extraction)
-needs libraries this container does not ship (pillow / libav), so each
-stage resolves a decoder at actor init via import-try and otherwise
-uses a clearly-marked deterministic fake; the Ray-side plumbing —
-schema, batch sizing, actor signature, zero-copy binary handling,
-output layout — is real and tested.
+one stage here is ``FeatureExtractor`` (payload → fixed-dim feature
+vector); its "model" is a deterministic fake (a seeded projection of
+the byte histogram), since this repo ships no image encoder.  The
+Ray-side plumbing — schema, batch sizing, actor signature, zero-copy
+binary handling, output layout — is real and tested.
 
-Scale notes: binary payloads dominate block size, so these stages run
-with small ``batch_size`` (payload-count, not row-count, is what must
-fit in a worker heap) and the payload column is dropped as early as the
-pipeline allows (decode → features keeps only the feature vector).
+Scale notes: binary payloads dominate block size, so the stage runs
+with a small ``batch_size`` (payload-count, not row-count, is what must
+fit in a worker heap) and drops the payload column (features keep only
+the feature vector).
 """
 
 from __future__ import annotations
@@ -72,90 +71,6 @@ def synth_media_table(refs: list[str], media_type: str = "image") -> pa.Table:
     )
 
 
-def _load_pillow():
-    """Import-try for a real image codec; None in this container."""
-    try:
-        from PIL import Image  # noqa: F401
-
-        return Image
-    except ImportError:
-        return None
-
-
-class MediaDecoder:
-    """Actor-pool stage: payload binary → decoded pixel/PCM summary.
-
-    ``__init__`` resolves the codec once per actor (the load-once
-    pattern of ``TrOCREngine``, ``ocr_router.py:31-46``); ``__call__``
-    decodes a whole Arrow batch.  Without a real codec the "decode" is
-    a deterministic fake: a seeded byte-histogram standing in for pixel
-    statistics.  STUB: replace ``_fake_decode`` with the real codec
-    path when pillow/libav are available.
-    """
-
-    def __init__(self, strict: bool = False, force_fake: bool = False):
-        # resolve the codec ONCE per actor; pillow is the real path when
-        # importable, the deterministic fake is the fallback (and is
-        # forceable for reproducible tests).  strict=True refuses to run
-        # without a real codec.
-        self._codec = None if force_fake else _load_pillow()
-        self._strict = strict
-        self._decode = (
-            self._real_decode if self._codec is not None else self._fake_decode
-        )
-
-    def _fake_decode(self, payload: bytes, width: int, height: int) -> np.ndarray:
-        # deterministic stand-in for decoded pixels: byte histogram
-        counts = np.bincount(np.frombuffer(payload, dtype=np.uint8),
-                             minlength=256).astype(np.float32)
-        return counts / max(1, len(payload))
-
-    def _real_decode(self, payload: bytes, width: int, height: int) -> np.ndarray:
-        """Pillow path: decode the image bytes, grayscale, normalized
-        256-bin pixel histogram — same output contract as the fake, so
-        downstream stages are codec-agnostic.  Undecodable payloads
-        fall back to the byte histogram (inline-error-and-continue,
-        the per-page semantics of ``ocr_router.py:296-298``)."""
-        import io
-
-        try:
-            img = self._codec.open(io.BytesIO(payload)).convert("L")
-        except Exception:
-            return self._fake_decode(payload, width, height)
-        px = np.asarray(img, dtype=np.uint8).ravel()
-        counts = np.bincount(px, minlength=256).astype(np.float32)
-        return counts / max(1, len(px))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._codec is None and self._strict:
-            raise NotImplementedError(
-                "no image codec in this environment; "
-                "install pillow or run with strict=False (deterministic fake)"
-            )
-        batch = batch.combine_chunks()
-        payloads = batch.column("payload").to_pylist()
-        widths = batch.column("width").to_pylist()
-        heights = batch.column("height").to_pylist()
-        hists = np.stack(
-            [self._decode(p, w, h) for p, w, h in zip(payloads, widths, heights)]
-        )
-        mean = hists.mean(axis=1)
-        std = hists.std(axis=1)
-        return pa.table(
-            {
-                "media_ref": batch.column("media_ref"),
-                "media_type": batch.column("media_type"),
-                "width": batch.column("width"),
-                "height": batch.column("height"),
-                "decoded_mean": pa.array(mean, type=pa.float64()),
-                "decoded_std": pa.array(std, type=pa.float64()),
-                "byte_len": pa.array(
-                    [len(p) for p in payloads], type=pa.int64()
-                ),
-            }
-        )
-
-
 class FeatureExtractor:
     """Actor-pool stage: payload binary → fixed-dim feature vector
     (list<float>), the embedding step of a multimodal training
@@ -185,48 +100,6 @@ class FeatureExtractor:
                 ),
             }
         )
-
-
-def resize_plan_batch(batch: pa.Table, *, max_side: int = 32) -> pa.Table:
-    """Stateless resize stage (vectorized): computes the target geometry
-    and scale factor per row with pyarrow/numpy; the pixel resample
-    itself is the stubbed codec step.  Keeping the plan separate from
-    the resample means the Arrow-side layout is fully testable."""
-    import pyarrow.compute as pc
-
-    batch = batch.combine_chunks()
-    w = np.asarray(batch.column("width"), dtype=np.float64)
-    h = np.asarray(batch.column("height"), dtype=np.float64)
-    scale = np.minimum(1.0, max_side / np.maximum(w, h))
-    return batch.append_column(
-        "scale", pa.array(scale, type=pa.float64())
-    ).append_column(
-        "out_width", pa.array(np.round(w * scale).astype(np.int32))
-    ).append_column(
-        "out_height", pa.array(np.round(h * scale).astype(np.int32))
-    )
-
-
-def frame_sample_batch(batch: pa.Table, *, every: int = 5) -> pa.Table:
-    """Video frame sampling: one output row per sampled frame index —
-    the media analog of the PDF page explode (``ocr_router.py:105-119``),
-    flat-map shaped, order carried by ``frame_idx``."""
-    batch = batch.combine_chunks()
-    n_frames = np.asarray(batch.column("n_frames"), dtype=np.int64)
-    counts = np.maximum(1, (n_frames + every - 1) // every)
-    parent = np.repeat(np.arange(len(batch), dtype=np.int64), counts)
-    frame_idx = (
-        np.concatenate([np.arange(c, dtype=np.int64) for c in counts]) * every
-        if len(batch)
-        else np.array([], dtype=np.int64)
-    )
-    refs = batch.column("media_ref").take(pa.array(parent))
-    return pa.table(
-        {
-            "media_ref": refs,
-            "frame_idx": pa.array(frame_idx, type=pa.int32()),
-        }
-    )
 
 
 def media_feature_pipeline(media_ds, *, batch_size: int = 32,

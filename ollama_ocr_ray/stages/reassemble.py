@@ -3,13 +3,12 @@
 ``reassemble_sorted_block`` restores each document's exact sequence —
 sort by (offset, sub), drop the document sentinel, assign a dense
 0-based ``order`` — generalizing the reference's page-order reassembly
-(``/root/reference/ocr_router.py:279,294,301``) to parallel, salted-split
-execution: order is derived from keys assigned *before* the split, never
-from arrival order.  The canonical plan runs it after its one required
-shuffle (SURVEY.md §2.7), a sort(doc_id) exchange folded through
-``folds.exact_segment_fold``; the fused plan runs it inside the
-extraction actor on the span rows of one input batch, which hold every
-span of their documents.
+(``ocr_router.py:279,294,301``) to batched execution: order is derived
+from keys assigned at explode, never from the order the per-kind
+extractors emit rows in.  The extraction stage
+(``pipelines.extract.FusedExtractor``) runs it inside the actor call on
+the span rows of one input batch, which hold every span of their
+documents.
 
 Besides the contract columns (doc_id, spans) each output row carries the
 per-document metrics the reference put in its CSV summary row
@@ -43,15 +42,11 @@ REASSEMBLED_SCHEMA = pa.schema(
 def reassemble_sorted_block(batch: pa.Table) -> pa.Table:
     """Vectorized many-documents-per-call reassembly.
 
-    Input: span rows holding EVERY row of each of their documents — a
-    block of ``Dataset.sort('doc_id')`` output (sort range-partitions on
-    the key, and ``exact_segment_fold`` re-folds a document whose rows
-    straddle blocks), or one extraction call's output on the fused plan.
-    The canonical sort key is doc_id ONLY: a distributed sort on
-    (doc_id, offset, sub) could place a range boundary *inside* a
-    document, so rows are put in (doc_id, offset, sub) order here with
-    one block-local vectorized sort.  Output rows come in doc_id order;
-    rows of one doc_id become one output row.
+    Input: span rows holding EVERY row of each of their documents, in
+    any order — one extraction call's output.  Rows are put in
+    (doc_id, offset, sub) order here with one block-local vectorized
+    sort.  Output rows come in doc_id order; rows of one doc_id become
+    one output row.
 
     One call reassembles every document in the block via segment
     boundaries (``np.diff`` on doc codes, cumsum segment sums,

@@ -8,9 +8,10 @@ manifest, redoing only missing partitions (SURVEY.md §4.3).
 Two execution shapes, chosen by what the per-partition work needs:
 
 - **extract** (``run_extract``): each partition runs the extraction
-  pipeline as its own internally-parallel Dataset execution (actor
-  pools, salted splits, reassembly exchange); ``wave`` partitions run
-  concurrently so the cluster stays saturated.
+  pipeline as its own internally-parallel Dataset execution (one
+  actor-pool stage that extracts and reassembles each batch of
+  documents); ``wave`` partitions run concurrently so the cluster
+  stays saturated.
 - **prep / curate annotate** (``_run_two_phase``): the per-partition
   work is a map-only pass whose parallelism unit IS the partition, so
   each runs as ONE plain Ray task (streaming parquet read inside the
@@ -26,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..pipelines.extract import extract_pipeline, fused_pipeline
+from ..pipelines.extract import check_plan, fused_pipeline
 from ..sources.io import (list_input_files, read_documents,
                           read_documents_files, write_extracted)
 from .manifest import Manifest, partition_fingerprint
@@ -83,10 +84,8 @@ def _run_partition(
     input_file: str,
     manifest: Manifest,
     *,
-    plan: str,
     ocr_burn: int,
     ocr_latency_ms: float,
-    ocr_batch_size: int,
     ocr_concurrency: int | None,
     policy,
     model=None,
@@ -105,27 +104,12 @@ def _run_partition(
                 exact=True)
         else:
             probe = probe._replace(exact=False)
-    if plan == "fused":
-        out = fused_pipeline(
-            ds, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-            concurrency=ocr_concurrency, policy=policy, with_stats=True,
-            model=model, metrics_sink=metrics_sink, metrics_tag=pid,
-            probe=probe,
-        )
-    else:
-        out = extract_pipeline(
-            ds,
-            ocr_burn=ocr_burn,
-            ocr_latency_ms=ocr_latency_ms,
-            ocr_batch_size=ocr_batch_size,
-            ocr_concurrency=ocr_concurrency,
-            policy=policy,
-            with_stats=True,
-            model=model,
-            metrics_sink=metrics_sink,
-            metrics_tag=pid,
-            probe=probe,
-        )
+    out = fused_pipeline(
+        ds, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+        concurrency=ocr_concurrency, policy=policy, with_stats=True,
+        model=model, metrics_sink=metrics_sink, metrics_tag=pid,
+        probe=probe,
+    )
     part_dir = manifest.part_dir(pid)
     tmp_dir = os.path.join(manifest.output_dir, f"_tmp-part-{pid:05d}")
     for stale in (tmp_dir, part_dir):
@@ -143,7 +127,6 @@ def _run_partition(
     record = {
         "input_file": os.path.abspath(input_file),
         "input_fingerprint": partition_fingerprint(input_file),
-        "plan": plan,
         **_partition_metrics(part_dir),
     }
     if metrics_sink is not None:
@@ -705,10 +688,9 @@ def run_extract(
     input_path: str,
     output_dir: str,
     *,
-    plan: str = "canonical",
+    plan: str = "auto",
     ocr_burn: int = 0,
     ocr_latency_ms: float = 0.0,
-    ocr_batch_size: int = 512,
     ocr_concurrency: int | None = None,
     policy="text",
     model=None,
@@ -724,7 +706,10 @@ def run_extract(
     fixed actor pool sized by ``ocr_pool`` from its doc count and the
     job's probe, capped at ``ocr_concurrency`` actors and at its share
     of the cluster among the ``wave`` partitions running at once.
+    ``plan`` is checked by ``pipelines.extract.check_plan``; the
+    summary reports the one plan, ``"fused"``.
     """
+    check_plan(plan)
     files = list_input_files(input_path)
     if not files:
         raise FileNotFoundError(f"no input data files under {input_path}")
@@ -740,16 +725,12 @@ def run_extract(
     if max_partitions is not None:
         pending = pending[:max_partitions]
     probe = None
-    if pending or plan == "auto":
-        # one probe per job: its sample picks the plan (plan='auto')
-        # and sizes every partition's pool
+    if pending:
+        # one probe per job: its sample sizes every partition's pool
         from ..pipelines import extract as px
 
-        chosen, probe = px.choose_plan(
-            read_documents_files([files[0]]), ocr_burn=ocr_burn,
-            ocr_latency_ms=ocr_latency_ms, with_probe=True)
-        if plan == "auto":
-            plan = chosen
+        _, probe = px.choose_plan(read_documents_files([files[0]]),
+                                  with_probe=True)
         ocr_concurrency = px.ocr_pool(
             ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
             cap=ocr_concurrency,
@@ -760,10 +741,8 @@ def run_extract(
 
     metrics_sink = make_sink() if pending else None
     kwargs = dict(
-        plan=plan,
         ocr_burn=ocr_burn,
         ocr_latency_ms=ocr_latency_ms,
-        ocr_batch_size=ocr_batch_size,
         ocr_concurrency=ocr_concurrency,
         policy=policy,
         model=model,
@@ -793,7 +772,7 @@ def run_extract(
         "docs": sum(r["docs"] for r in done),
         "spans_out": sum(r["spans_out"] for r in done),
         "errors": sum(r["errors"] for r in done),
-        "plan": plan,
+        "plan": "fused",
         "output_dir": output_dir,
     }
 

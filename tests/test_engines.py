@@ -118,7 +118,7 @@ def test_media_store_objectref_payloads_reach_model(ray_session):
     import ray
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import extract_pipeline
+    from ollama_ocr_ray.pipelines.extract import fused_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     doc = {
@@ -132,8 +132,8 @@ def test_media_store_objectref_payloads_reach_model(ray_session):
     table = pa.Table.from_pylist([doc], schema=DOCUMENTS_SCHEMA)
     store = ray.put({"s3://a": b"same-bytes", "s3://b": b"same-bytes",
                      "s3://c": b"other-bytes"})
-    out = extract_pipeline(rd.from_arrow(table), media_store=store,
-                           model=DemoHashModel(), ocr_concurrency=2)
+    out = fused_pipeline(rd.from_arrow(table), media_store=store,
+                         model=DemoHashModel(), concurrency=2)
     t = pa.concat_tables(
         list(out.iter_batches(batch_size=None, batch_format="pyarrow"))
     )
@@ -158,7 +158,7 @@ def test_cli_extract_with_injected_model(ray_session, tmp_path, capsys):
     # stage (exact-CPUs fixed pools starve it and stall, BASELINE.md)
     assert main(["--input", corpus_dir, "--output", out,
                  "--model", "demo", "--ocr-concurrency", "1",
-                 "--wave", "2", "--plan", "canonical"]) == 0
+                 "--wave", "2"]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["partitions_run"] == summary["partitions_total"] > 0
 

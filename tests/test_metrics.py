@@ -51,22 +51,21 @@ def test_recorder_pushes_per_batch(ray_session):
 
 
 def test_manifest_carries_resources(ray_session, tmp_path):
-    """run_extract commits a resources block per partition, on BOTH
-    physical plans, and the numbers are sane."""
+    """run_extract commits a resources block per partition, and the
+    numbers are sane."""
     corpus = synth.write_corpus(str(tmp_path / "c"), 120, seed=31)
-    for plan in ("canonical", "fused"):
-        out = str(tmp_path / f"out-{plan}")
-        s = run_extract(corpus, out, plan=plan, wave=2, ocr_concurrency=1)
-        assert s["partitions_run"] > 0
-        m = Manifest(out)
-        for rec in m.records():
-            res = rec["resources"]
-            assert res["samples"] > 0
-            assert res["actors"] >= 1
-            assert res["rss_mb_max"] > 10.0
-            assert res["rows"] > 0
-            assert res["cpu_ms_total"] >= 0.0
-            assert res["gpu_active"] is False  # sandbox has no GPU
+    out = str(tmp_path / "out")
+    s = run_extract(corpus, out, plan="fused", wave=2, ocr_concurrency=1)
+    assert s["partitions_run"] > 0
+    m = Manifest(out)
+    for rec in m.records():
+        res = rec["resources"]
+        assert res["samples"] > 0
+        assert res["actors"] >= 1
+        assert res["rss_mb_max"] > 10.0
+        assert res["rows"] > 0
+        assert res["cpu_ms_total"] >= 0.0
+        assert res["gpu_active"] is False  # sandbox has no GPU
 
 
 def test_dead_sink_degrades_not_fails(ray_session, tmp_path):
@@ -91,8 +90,8 @@ def test_dead_sink_degrades_not_fails(ray_session, tmp_path):
     out = str(tmp_path / "out")
     os.makedirs(out, exist_ok=True)
     rec = _run_partition(
-        0, f0, Manifest(out), plan="fused", ocr_burn=0, ocr_latency_ms=0,
-        ocr_batch_size=64, ocr_concurrency=1, policy="text",
+        0, f0, Manifest(out), ocr_burn=0, ocr_latency_ms=0,
+        ocr_concurrency=1, policy="text",
         metrics_sink=sink,
     )
     assert rec["docs"] > 0

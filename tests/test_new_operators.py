@@ -11,10 +11,7 @@ from ollama_ocr_ray.functions.text import quality_score_batch
 from ollama_ocr_ray.stages.media import (
     FEATURE_DIM,
     FeatureExtractor,
-    MediaDecoder,
-    frame_sample_batch,
     media_feature_pipeline,
-    resize_plan_batch,
     synth_media_table,
 )
 
@@ -36,44 +33,6 @@ def test_synth_media_deterministic():
     assert a.column("payload")[0].as_py() != a.column("payload")[1].as_py()
 
 
-def _pillow_available() -> bool:
-    try:
-        from PIL import Image  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-@pytest.mark.parametrize("codec", [
-    "fake",
-    pytest.param("real", marks=pytest.mark.skipif(
-        not _pillow_available(), reason="pillow not in this container")),
-])
-def test_media_decoder_fake_and_real(codec):
-    """Decode contract holds on both codec paths: pillow when
-    importable, the deterministic fake otherwise (VERDICT r1 #7)."""
-    t = synth_media_table(["m1", "m2", "m3"])
-    dec = MediaDecoder(force_fake=(codec == "fake"))
-    if codec == "real":
-        assert dec._codec is not None
-        assert dec._decode == dec._real_decode
-    out = dec(t)
-    assert out.num_rows == 3
-    assert set(out.schema.names) >= {"media_ref", "decoded_mean", "byte_len"}
-    # synthetic payloads are not real images: the real path must fall
-    # back per-row, never crash the batch
-    assert all(v >= 0 for v in out.column("decoded_mean").to_pylist())
-
-
-def test_media_decoder_strict_requires_codec():
-    t = synth_media_table(["m1"])
-    if _pillow_available():
-        MediaDecoder(strict=True)(t)  # codec present: strict is fine
-    else:
-        with pytest.raises(NotImplementedError):
-            MediaDecoder(strict=True)(t)
-
-
 def test_feature_extractor_shape_and_determinism():
     t = synth_media_table(["a", "b"])
     f1 = FeatureExtractor()(t)
@@ -83,25 +42,6 @@ def test_feature_extractor_shape_and_determinism():
     assert f1.equals(f2)
     # unit-normalized
     assert abs(np.linalg.norm(v1) - 1.0) < 1e-5
-
-
-def test_resize_plan_bounds():
-    t = synth_media_table([f"m{i}" for i in range(20)])
-    out = resize_plan_batch(t, max_side=32)
-    w = np.asarray(out.column("out_width"))
-    h = np.asarray(out.column("out_height"))
-    assert (np.maximum(w, h) <= 32).all()
-    # never upscale
-    assert (np.asarray(out.column("scale")) <= 1.0).all()
-
-
-def test_frame_sample_explode():
-    t = synth_media_table([f"v{i}" for i in range(5)], media_type="video")
-    out = frame_sample_batch(t, every=5)
-    n_frames = np.asarray(t.column("n_frames"))
-    expect = np.maximum(1, (n_frames + 4) // 5).sum()
-    assert out.num_rows == expect
-    assert np.asarray(out.column("frame_idx")).min() == 0
 
 
 def test_media_pipeline_actor_pool(ray_session):
@@ -656,11 +596,11 @@ def test_offset_range_selection(ray_session):
 
     from ollama_ocr_ray import synth
     from ollama_ocr_ray.oracle import extract_document
-    from ollama_ocr_ray.pipelines.extract import extract_pipeline
+    from ollama_ocr_ray.pipelines.extract import fused_pipeline
 
     table = synth.gen_table(30, seed=4)
-    out = extract_pipeline(rd.from_arrow(table), offset_range=(0, 1),
-                           ocr_concurrency=2)
+    out = fused_pipeline(rd.from_arrow(table), offset_range=(0, 1),
+                         concurrency=2)
     got = {
         r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["order"])
                       for s in r["spans"]]
@@ -736,16 +676,13 @@ def test_approx_distinct_vs_exact(ray_session):
 
 def test_media_store_broadcast_lookup(ray_session):
     """With a sidecar store the transcript keys on payload bytes (two
-    refs with identical bytes transcribe identically), a missing ref
-    becomes an inline error span, and both plans agree.  The store ships
-    once via ray.put, resolved inside the actors."""
+    refs with identical bytes transcribe identically) and a missing ref
+    becomes an inline error span.  The store ships once via ray.put,
+    resolved inside the actors."""
     import ray
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import (
-        extract_pipeline,
-        fused_pipeline,
-    )
+    from ollama_ocr_ray.pipelines.extract import fused_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     doc = {
@@ -768,14 +705,11 @@ def test_media_store_broadcast_lookup(ray_session):
             (s["kind"], s["text"]) for s in t.to_pylist()[0]["spans"]
         ]
 
-    got_c = spans(extract_pipeline(rd.from_arrow(table), media_store=store,
-                                   ocr_concurrency=2))
-    got_f = spans(fused_pipeline(rd.from_arrow(table), media_store=store,
-                                 concurrency=2))
-    assert got_c == got_f
-    assert got_c[0] == got_c[1]                       # same bytes, same text
-    assert got_c[0][0] == "ocr"
-    assert got_c[2][0] == "error" and "media not found" in got_c[2][1]
+    got = spans(fused_pipeline(rd.from_arrow(table), media_store=store,
+                               concurrency=2))
+    assert got[0] == got[1]                           # same bytes, same text
+    assert got[0][0] == "ocr"
+    assert got[2][0] == "error" and "media not found" in got[2][1]
 
 
 def test_ngram_band_exchange_carries_no_text(ray_session):

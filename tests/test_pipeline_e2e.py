@@ -1,6 +1,7 @@
 """End-to-end span-sequence equality of the Ray pipelines vs the
-sequential oracle (SURVEY.md §5.2.2-4): canonical salted-split plan,
-zero-shuffle fused plan, skew behavior, and structural invariants."""
+sequential oracle (SURVEY.md §5.2.2-4): the fused plan with an explicit
+pool and through ``auto_pipeline``'s probe-sized pool, skew behavior,
+and structural invariants."""
 
 import pyarrow.compute as pc
 import pytest
@@ -8,7 +9,7 @@ import ray.data as rd
 
 from ollama_ocr_ray import oracle, synth
 from ollama_ocr_ray.pipelines.extract import (
-    extract_pipeline,
+    auto_pipeline,
     fused_pipeline,
     summary_table,
 )
@@ -46,9 +47,10 @@ def expected(corpus):
     return oracle.extract_corpus(corpus)
 
 
-def test_canonical_pipeline_matches_oracle(ray_session, corpus, expected):
+def test_auto_pipeline_matches_oracle(ray_session, corpus, expected):
     ds = rd.from_arrow(corpus).repartition(8)
-    out = extract_pipeline(ds, ocr_batch_size=64, ocr_concurrency=2)
+    plan, out = auto_pipeline(ds, ocr_concurrency=2)
+    assert plan == "fused"
     got = _spans_map(_collect(out))
     assert set(got) == set(expected)
     for doc_id in expected:
@@ -99,7 +101,7 @@ def test_structural_invariants(ray_session, corpus, expected):
     """Property-style checks: no doc lost/duplicated; order dense and
     strictly increasing; media spans preserved 1:1."""
     ds = rd.from_arrow(corpus)
-    out = _collect(extract_pipeline(ds))
+    out = _collect(fused_pipeline(ds))
     ids = out.column("doc_id").to_pylist()
     assert len(ids) == len(set(ids)) == N_DOCS
     for r in out.to_pylist():
@@ -117,7 +119,7 @@ def test_structural_invariants(ray_session, corpus, expected):
 
 def test_summary_table(ray_session, corpus, expected):
     ds = rd.from_arrow(corpus)
-    stats = extract_pipeline(ds, with_stats=True)
+    stats = fused_pipeline(ds, with_stats=True)
     summ = _collect(summary_table(stats))
     assert len(summ) == N_DOCS
     by_id = {r["doc_id"]: r for r in summ.to_pylist()}
@@ -130,38 +132,29 @@ def test_summary_table(ray_session, corpus, expected):
 
 
 def test_stats_agree_across_plans(ray_session, corpus):
-    """Both plans report the same per-document stats, and charge OCR
-    latency only to documents that have media spans."""
-    stats = ["engine", "chars", "n_spans", "n_errors"]
-    by_plan = [
-        {r["doc_id"]: r for r in _collect(out.select_columns(
-            ["doc_id", *stats, "ocr_ms"])).to_pylist()}
-        for out in (
-            fused_pipeline(rd.from_arrow(corpus), with_stats=True,
-                           batch_size=32, concurrency=2),
-            extract_pipeline(rd.from_arrow(corpus), with_stats=True,
-                             ocr_batch_size=64, ocr_concurrency=2),
-        )
-    ]
-    fused, canonical = by_plan
-    assert set(fused) == set(canonical) == set(corpus["doc_id"].to_pylist())
+    """The plan reports stats for every document, and charges OCR
+    latency only to documents that have media spans (per-document stat
+    values are checked against the oracle in test_summary_table)."""
+    got = {r["doc_id"]: r for r in _collect(
+        fused_pipeline(rd.from_arrow(corpus), with_stats=True,
+                       batch_size=32, concurrency=2).select_columns(
+            ["doc_id", "ocr_ms"])
+    ).to_pylist()}
+    assert set(got) == set(corpus["doc_id"].to_pylist())
     for doc in corpus.to_pylist():
-        f, c = fused[doc["doc_id"]], canonical[doc["doc_id"]]
-        assert [f[k] for k in stats] == [c[k] for k in stats]
         if not any(s["kind"] == "media" for s in doc["spans"]):
-            assert f["ocr_ms"] == c["ocr_ms"] == 0.0, doc["doc_id"]
+            assert got[doc["doc_id"]]["ocr_ms"] == 0.0, doc["doc_id"]
 
 
-def test_very_wide_doc_canonical(ray_session):
+def test_very_wide_doc(ray_session):
     """SURVEY §7.3: a single doc with 10k media spans must flow through
-    the canonical plan without blowing a block — span-granular explode
-    spreads it across batches/actors — and reassemble exactly."""
+    the plan without blowing a block and reassemble exactly; it shares
+    its input batch with a small document."""
     import ray.data as rd
 
     import pyarrow as pa
 
     from ollama_ocr_ray.oracle import extract_document
-    from ollama_ocr_ray.pipelines.extract import extract_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     n = 10_000
@@ -179,8 +172,7 @@ def test_very_wide_doc_canonical(ray_session):
                    "offset": 0}],
     }
     table = pa.Table.from_pylist([doc, small], schema=DOCUMENTS_SCHEMA)
-    out = extract_pipeline(rd.from_arrow(table), ocr_batch_size=512,
-                           ocr_concurrency=4)
+    out = fused_pipeline(rd.from_arrow(table), concurrency=4)
     rows = {
         r["doc_id"]: r["spans"]
         for b in out.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -188,7 +180,7 @@ def test_very_wide_doc_canonical(ray_session):
     }
     assert len(rows["wide-1"]) == n
     want = extract_document(doc)["spans"]
-    assert rows["wide-1"] == want          # exact order under the shuffle
+    assert rows["wide-1"] == want          # exact order
     assert rows["tiny-1"][0]["text"] == "ok"
 
 
@@ -204,3 +196,14 @@ def test_auto_plan_empty_corpus(ray_session):
     n = sum(b.num_rows
             for b in out.iter_batches(batch_size=None, batch_format="pyarrow"))
     assert n == 0
+
+
+def test_removed_plan_raises(tmp_path):
+    """The canonical plan is gone: naming it (or any plan but the one)
+    fails loudly before any work, in the pipeline and in the runner."""
+    from ollama_ocr_ray.state.runner import run_extract
+
+    with pytest.raises(ValueError, match="'canonical' was removed"):
+        auto_pipeline(None, plan="canonical")
+    with pytest.raises(ValueError, match="'canonical' was removed"):
+        run_extract(str(tmp_path), str(tmp_path / "out"), plan="canonical")

@@ -1,19 +1,22 @@
 """Extraction-policy (mode dispatch) tests: every policy produces the
-same span sequence through the canonical plan, the fused plan, and the
-sequential oracle — including the 'multi' fan-out whose sub-span order
-must survive the parallel explode/reassemble path."""
+same span sequence through the Ray pipeline, its extraction stage run
+in-process, and the sequential oracle — including the 'multi' fan-out whose sub-span order must survive the
+parallel explode/reassemble path."""
 
 import pyarrow as pa
 import pytest
 
 from ollama_ocr_ray import oracle, synth
-from ollama_ocr_ray.pipelines.extract import extract_pipeline, fused_pipeline
+from ollama_ocr_ray.pipelines.extract import FusedExtractor, fused_pipeline
 from ollama_ocr_ray.spec import POLICY_MODES, mode_transcript, register_policy
 
 
 def _spans_of(ds):
     tables = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
-    t = pa.concat_tables(tables)
+    return _table_spans(pa.concat_tables(tables))
+
+
+def _table_spans(t):
     return {
         r["doc_id"]: [
             (s["kind"], s["text"], s["media_ref"], s["order"])
@@ -29,16 +32,13 @@ def test_policy_three_way_equality(ray_session, policy):
 
     table = synth.gen_table(60, seed=9)
     want = oracle.extract_corpus(table, policy)
-    got_c = _spans_of(
-        extract_pipeline(rd.from_arrow(table), policy=policy,
-                         ocr_concurrency=2)
-    )
     got_f = _spans_of(
         fused_pipeline(rd.from_arrow(table), policy=policy,
                        concurrency=2)
     )
-    assert got_c == want
+    got_local = _table_spans(FusedExtractor(policy=policy)(table))
     assert got_f == want
+    assert got_local == want
 
 
 def test_multi_policy_fans_out():

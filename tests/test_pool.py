@@ -21,7 +21,7 @@ def cpus(monkeypatch):
 
 
 def _probe(n_docs: int, media: float = 1.0) -> DocProbe:
-    return DocProbe(n_docs, True, media, int(media) + 1)
+    return DocProbe(n_docs, True, media)
 
 
 def _batches(pool, n_docs: int) -> int:

@@ -2,7 +2,7 @@
 seeds; invariants that must hold for ANY input, not just the fixtures.
 
 Hypothesis drives the corpus parameters; the pipeline under test is the
-fused plan (fast, zero-shuffle) plus targeted canonical-plan runs — the
+fused plan (zero-shuffle) plus the kernel's stages run one by one — the
 per-policy three-way equality is covered in test_policies.py.
 """
 
@@ -59,7 +59,7 @@ def test_invariants_any_seed(seed, n):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30))
 def test_explode_extract_preserves_counts(seed, n):
-    """The exploded path (canonical plan stages, single-process) keeps:
+    """The exploded path (the kernel's stages, single-process) keeps:
     one sentinel per doc, every non-empty text span, and exactly one OCR
     output row per media span under the default policy."""
     table = synth.gen_table(n, seed=seed)

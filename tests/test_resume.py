@@ -987,13 +987,13 @@ def test_csv_summary_compat(ray_session, corpus_dir, tmp_path):
     # single-file library writer over a small extraction
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import (extract_pipeline,
+    from ollama_ocr_ray.pipelines.extract import (fused_pipeline,
                                                   write_summary_csv)
 
     docs = rd.read_parquet(corpus_dir)
     one = str(tmp_path / "summary.csv")
     write_summary_csv(
-        extract_pipeline(docs, with_stats=True, ocr_concurrency=1),
+        fused_pipeline(docs, with_stats=True, concurrency=1),
         one, single_file=True)
     with open(one, newline="") as f:
         r = list(csv.reader(f))

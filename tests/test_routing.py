@@ -217,12 +217,12 @@ def test_resolve_router_spec():
     assert r2.line_threshold == 25
 
 
-def test_router_through_extract_pipeline(ray_session):
+def test_router_through_fused_pipeline(ray_session):
     """E2e through the REAL actor pool: keyword-routed refs dispatch to
     the right fake engine and the transcripts land on the right spans."""
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import extract_pipeline
+    from ollama_ocr_ray.pipelines.extract import fused_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     doc = {
@@ -239,8 +239,7 @@ def test_router_through_extract_pipeline(ray_session):
     table = pa.Table.from_pylist([doc], schema=DOCUMENTS_SCHEMA)
     model = RouterModel(printed=DemoHashModel("PRN"),
                         handwriting=DemoHashModel("HND"))
-    out = extract_pipeline(rd.from_arrow(table), model=model,
-                           ocr_concurrency=2)
+    out = fused_pipeline(rd.from_arrow(table), model=model, concurrency=2)
     [row] = out.take_all()
     spans = sorted(row["spans"], key=lambda s: s["order"])
     assert [s["kind"] for s in spans] == ["ocr", "text", "ocr"]

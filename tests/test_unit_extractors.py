@@ -7,6 +7,7 @@ independently-written oracle on random payloads (SURVEY.md §5.2.1/5).
 import random
 
 import pyarrow as pa
+import pytest
 
 from ollama_ocr_ray import oracle, spec, synth
 from ollama_ocr_ray.stages.explode import DOC_SENTINEL, explode_batch
@@ -176,8 +177,8 @@ def test_corpus_has_all_fixture_features():
 
 
 def _three_way_spans(doc: dict) -> list[list[dict]]:
-    """One document's output spans from the oracle, the canonical
-    kernel (span rows, then reassembly) and ``FusedExtractor``."""
+    """One document's output spans from the oracle, the kernel's stages
+    run one by one (span rows, then reassembly) and ``FusedExtractor``."""
     t = pa.Table.from_pylist([doc], schema=synth.DOCUMENTS_SCHEMA)
     spans = OcrModel()(extract_batch(explode_batch(t)))
     return [
@@ -187,9 +188,26 @@ def _three_way_spans(doc: dict) -> list[list[dict]]:
     ]
 
 
+def test_duplicate_doc_id_in_one_batch_raises():
+    """Two input rows with one doc_id would get colliding span ranks and
+    merge into one interleaved document: the extraction stage refuses
+    the batch and names the id."""
+    rows = [
+        {"doc_id": "d-dup", "spans": [{"kind": "text", "text": "first",
+                                        "media_ref": "", "offset": 0}]},
+        {"doc_id": "d-ok", "spans": []},
+        {"doc_id": "d-dup", "spans": [{"kind": "text", "text": "second",
+                                        "media_ref": "", "offset": 0}]},
+    ]
+    t = pa.Table.from_pylist(rows, schema=synth.DOCUMENTS_SCHEMA)
+    with pytest.raises(ValueError, match="duplicate doc_id 'd-dup'"):
+        FusedExtractor()(t)
+    assert FusedExtractor()(t.slice(0, 2)).num_rows == 2
+
+
 def test_unknown_kind_becomes_error_span_everywhere():
     """Unknown span kinds yield the same inline error span in oracle,
-    canonical stages, and fused extractor (found by a verify probe)."""
+    the kernel's stages, and fused extractor (found by a verify probe)."""
     doc = {
         "doc_id": "d-bad",
         "spans": [{"kind": "video", "text": "", "media_ref": "m://x", "offset": 0}],
