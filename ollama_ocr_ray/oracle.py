@@ -7,8 +7,10 @@ spans (``/root/reference/ocr_router.py:250-310``) — written
 span-equality tests are a real check (SURVEY.md §5.2).  Only the pure
 contract constants/functions in ``ollama_ocr_ray.spec`` are shared.
 
-HTML here is extracted by building an explicit DOM tree and recursively
-walking it; the Ray stage uses a single-pass event/stack algorithm.
+HTML here is extracted by building an explicit DOM tree with
+``HTMLParser`` and recursively walking it; the Ray stage scores blocks in
+one pass over a tag/frame stack, fed by its own regex tokenizer (with
+``HTMLParser`` only as a fallback for markup the tokenizer rejects).
 """
 
 from __future__ import annotations

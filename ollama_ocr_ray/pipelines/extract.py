@@ -33,7 +33,7 @@ _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
 # The pool rule's two costs, measured on a 4-CPU host (BASELINE.md r6):
 # extraction CPU per document outside OCR, and the wall time one more
 # actor adds to a short pipeline (start-up, imports, first dispatch).
-_DOC_MS = 0.65
+_DOC_MS = 0.25
 _ACTOR_START_S = 0.25
 
 
@@ -341,17 +341,6 @@ def write_summary_csv(extracted_with_stats, path: str, *,
                                               batch_format="pyarrow"):
             w.writerows(zip(*(b.column(c).to_pylist()
                               for c in REF_CSV_COLUMNS)))
-
-
-def render_compat_text(spans: list[dict]) -> str:
-    """Compat view: the reference's joined-text rendering with
-    ``--- Page N ---`` separators (``ocr_router.py:294,301``) over an
-    extracted span sequence."""
-    parts = [
-        f"\n\n--- Page {s['order'] + 1} ---\n\n{s['text']}"
-        for s in sorted(spans, key=lambda s: s["order"])
-    ]
-    return "".join(parts).strip()
 
 
 def corpus_summary(extracted_with_stats):

@@ -47,8 +47,7 @@ class OcrModel:
     """Callable-class stage: __init__ once per actor, __call__ per batch."""
 
     def __init__(self, burn_iters: int = 0, latency_ms: float = 0.0,
-                 policy: str = "text", media_store=None,
-                 stamp_batches: bool = False, model=None,
+                 policy: str = "text", media_store=None, model=None,
                  metrics_sink=None, metrics_tag=None):
         # "load the model": in the real engine this is where weights land
         # on the device; here we pre-touch the transcription vocab and
@@ -84,8 +83,6 @@ class OcrModel:
         # wrapper here to swap mock for real inference as pure config;
         # ``None`` keeps the deterministic mock-policy contract.
         self.model = model
-        self.stamp_batches = stamp_batches  # test hook: tag rows with call id
-        self._calls = 0
         self._warm = mock_transcript("media://warmup/0")
         # per-actor resource sampling (reference's per-call GPU/resource
         # probe, ``ollama_local_ocr.py:205-262``): one sample per batch,
@@ -136,15 +133,6 @@ class OcrModel:
         what scales)."""
         if self.latency_ms > 0.0 and n_media > 0:
             time.sleep(self.latency_ms * n_media / 1e3)
-
-    def _stamp(self, t: pa.Table) -> pa.Table:
-        if not self.stamp_batches:
-            return t
-        self._calls += 1
-        import os
-
-        tag = f"{os.getpid()}:{id(self)}:{self._calls}"
-        return t.append_column("ocr_batch", pa.array([tag] * len(t)))
 
     def resolve_batch(self, refs: list[str]):
         """One resolution pass for a batch's media refs.
@@ -234,24 +222,22 @@ class OcrModel:
         media_sub = np.arange(len(rows)) - first_out[rows]
         out = batch.take(pa.array(rows))
         self._record(n, len(media_idx), t_call)
-        return self._stamp(
-            pa.table(
-                {
-                    "doc_id": out.column("doc_id"),
-                    "offset": out.column("offset"),
-                    "sub": pc.if_else(from_media,
-                                      pa.array(media_sub, type=pa.int32()),
-                                      out.column("sub")),
-                    "kind": pc.replace_with_mask(
-                        out.column("kind"), from_media,
-                        pa.array([k for o in outs for k, _ in o],
-                                 type=pa.string())),
-                    "text": pc.replace_with_mask(
-                        out.column("text"), from_media,
-                        pa.array([t for o in outs for _, t in o],
-                                 type=pa.string())),
-                    "media_ref": out.column("media_ref"),
-                    "ocr_ms": pc.if_else(from_media, per_row_ms, 0.0),
-                }
-            )
+        return pa.table(
+            {
+                "doc_id": out.column("doc_id"),
+                "offset": out.column("offset"),
+                "sub": pc.if_else(from_media,
+                                  pa.array(media_sub, type=pa.int32()),
+                                  out.column("sub")),
+                "kind": pc.replace_with_mask(
+                    out.column("kind"), from_media,
+                    pa.array([k for o in outs for k, _ in o],
+                             type=pa.string())),
+                "text": pc.replace_with_mask(
+                    out.column("text"), from_media,
+                    pa.array([t for o in outs for _, t in o],
+                             type=pa.string())),
+                "media_ref": out.column("media_ref"),
+                "ocr_ms": pc.if_else(from_media, per_row_ms, 0.0),
+            }
         )

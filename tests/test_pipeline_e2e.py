@@ -1,9 +1,8 @@
 """End-to-end span-sequence equality of the Ray pipelines vs the
 sequential oracle (SURVEY.md §5.2.2-4): the fused plan with an explicit
-pool and through ``auto_pipeline``'s probe-sized pool, skew behavior,
-and structural invariants."""
+pool and through ``auto_pipeline``'s probe-sized pool, and structural
+invariants."""
 
-import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
@@ -13,9 +12,6 @@ from ollama_ocr_ray.pipelines.extract import (
     fused_pipeline,
     summary_table,
 )
-from ollama_ocr_ray.stages.explode import explode_batch
-from ollama_ocr_ray.stages.extract import extract_batch
-from ollama_ocr_ray.stages.ocr import OcrModel
 
 N_DOCS = 300
 SEED = 42
@@ -62,39 +58,6 @@ def test_fused_pipeline_matches_oracle(ray_session, corpus, expected):
     out = fused_pipeline(ds, batch_size=32, concurrency=2)
     got = _spans_map(_collect(out))
     assert got == expected
-
-
-def test_skew_salted_split_spreads_heavy_doc(ray_session, corpus, expected):
-    """A media-heavy doc's spans must be OCR'd across >1 actor batch
-    (the salted split) and still reassemble exactly."""
-    heavy_ids = [
-        r["doc_id"]
-        for r in corpus.to_pylist()
-        if sum(s["kind"] == "media" for s in r["spans"]) >= 200
-    ]
-    assert heavy_ids, "fixture must contain a heavy doc"
-    ds = rd.from_arrow(corpus).repartition(8)
-    spans = (
-        ds.map_batches(explode_batch, batch_format="pyarrow")
-        .map_batches(extract_batch, batch_format="pyarrow")
-        .map_batches(
-            OcrModel,
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=2,
-            fn_constructor_kwargs={"stamp_batches": True},
-        )
-    )
-    t = _collect(spans)
-    for doc_id in heavy_ids:
-        rows = t.filter(
-            pc.and_(
-                pc.equal(t.column("doc_id"), doc_id),
-                pc.equal(t.column("kind"), "ocr"),
-            )
-        )
-        stamps = set(rows.column("ocr_batch").to_pylist())
-        assert len(stamps) > 1, f"{doc_id} OCR'd in a single batch"
 
 
 def test_structural_invariants(ray_session, corpus, expected):

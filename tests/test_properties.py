@@ -124,6 +124,104 @@ def test_parsers_match_oracle_on_random_payloads(payload):
     assert parse_pdf_stage(payload) == extract_pdf(payload)
 
 
+# Markup that real and hostile pages mix: tags of every class in both
+# cases, empty and void elements, links around blocks, attributes
+# holding ">", comments and declarations, charrefs, stray "<" and
+# malformed end tags, and words long enough to keep a block.
+_MARKUP_TOKENS = (
+    "<p>", "</p>", "<P>", "</P>", "<li>", "</li>", "<td>", "</td>",
+    "<h2>", "</H2>", "<blockquote>", "</blockquote>", "<pre>", "</pre>",
+    "<div>", "</div>", "<b>", "</b>", "<SPAN class=x>", "</span>",
+    "<nav>", "</nav>", "<FOOTER>", "</footer>", "<style>", "</style>",
+    "<script>", "</script>", "</script >", "<p/>", "<td />", "<br>",
+    "<br/>", '<a href="/x">', "<A HREF=/y>", "</a>", '<a href="/c"><p>',
+    '<span title="a>b">', "<img alt='x>y'>", "<!-- a <p> comment -->",
+    "<!DOCTYPE html>", "<?pi?>", "<![CDATA[x<y]]>", "&amp;", "&#39;",
+    "&bogus;", "&", " a < b ", "<1", "</ p>", "</P >", "</p class=x>",
+    "\n", " ", "tiny", "some words",
+    "a sentence that is long enough to pass the size filter",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(toks=st.lists(st.sampled_from(_MARKUP_TOKENS), max_size=30),
+       tail=st.sampled_from(["", "<", "<a", '<a href="/x']))
+def test_html_stage_matches_oracle_on_markup_grammar(toks, tail):
+    """Tag soup drawn from a markup alphabet: the stage (tokenizer or
+    its HTMLParser fallback) and the oracle's DOM walk agree.  Random
+    text almost never forms a tag, so this is the test that reaches
+    nesting, empty blocks and link scoping."""
+    from ollama_ocr_ray.oracle import extract_html
+    from ollama_ocr_ray.stages.html_extract import extract_html_stage
+
+    markup = "".join(toks) + tail
+    assert extract_html_stage(markup) == extract_html(markup)
+
+
+# Constructs the tokenizer reads itself, at the edges of its grammar.
+_TOKENIZER_TOKENS = (
+    "<p>", "</P >", "</ p>", "<p/>", "<LI />", "<td width=50>",
+    "<input disabled/>", '<a href="/x" />', "<A HREF=/y>", "</a>",
+    "<span title='a>b' id=\"c\">", "<br>", "<x-y:z>", "</x-y:z>",
+    "<!-- c -- >", "<!---->", "<!DOCTYPE html>", "<!doctype>",
+    "<script>if (a <b && c) s = '&amp;</p>'</script >",
+    "<STYLE>p{}</StYlE>", "<script/>", "&amp;", "&#39;", "&bogus;", "&",
+    "\n", "words",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toks=st.lists(st.sampled_from(_TOKENIZER_TOKENS), max_size=30))
+def test_html_tokenizer_events_match_htmlparser(toks):
+    """The tokenizer reads these constructs without falling back, and
+    gives exactly HTMLParser's start/start-end/end/data events."""
+    from html.parser import HTMLParser
+
+    from ollama_ocr_ray.stages.html_extract import _tokenize
+
+    class Events(list):
+        def start(self, tag):
+            self.append(("start", tag))
+
+        def startend(self, tag):
+            self.append(("startend", tag))
+
+        def end(self, tag):
+            self.append(("end", tag))
+
+        def data(self, text):
+            self.append(("data", text))
+
+    class Recorder(HTMLParser):
+        def __init__(self, events):
+            super().__init__(convert_charrefs=True)
+            self.handle_starttag = lambda tag, _: events.start(tag)
+            self.handle_startendtag = lambda tag, _: events.startend(tag)
+            self.handle_endtag = events.end
+            self.handle_data = events.data
+
+    markup = "".join(toks)
+    fast, want = Events(), Events()
+    assert _tokenize(markup, fast)
+    parser = Recorder(want)
+    parser.feed(markup)
+    parser.close()
+    assert fast == want
+
+
+def test_html_tokenizer_reads_synthetic_pages_without_fallback():
+    """Every synthesized page takes the tokenizer's fast path: a
+    grammar change that sent them to the HTMLParser fallback would keep
+    the output and quietly lose the speed."""
+    import random
+
+    from ollama_ocr_ray.stages.html_extract import _Blocks, _tokenize
+
+    for seed in range(200):
+        page = synth._html_payload(random.Random(seed))
+        assert _tokenize(page, _Blocks()), seed
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     toks=st.lists(st.text(alphabet="abcxyz", min_size=1, max_size=4),

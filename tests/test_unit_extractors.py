@@ -55,6 +55,22 @@ def test_html_nested_blocks_leaf_only():
     ]
 
 
+def test_html_self_closing_block_is_a_block_child():
+    """Spec step 3: ``<p/>`` is a block descendant, so the cell holding
+    it is no leaf block and is dropped."""
+    m = "<td><p/>table cell text that is long enough to keep</td>"
+    assert extract_html_stage(m) == oracle.extract_html(m) == []
+
+
+def test_html_link_around_block_is_not_link_text():
+    """Spec step 4: only an <a> inside the block makes link text; a
+    link wrapping the whole block (a card) does not."""
+    m = '<a href="/x"><p>a card title that is long enough to keep</p></a>'
+    assert extract_html_stage(m) == oracle.extract_html(m) == [
+        "a card title that is long enough to keep"
+    ]
+
+
 def test_html_stage_matches_oracle_random():
     rng = random.Random(1234)
     for _ in range(200):
