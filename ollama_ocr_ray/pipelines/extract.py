@@ -17,7 +17,6 @@ the input (``choose_plan``) whose sample sizes the actor pool
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import pyarrow as pa
@@ -35,6 +34,9 @@ _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
 # actor adds to a short pipeline (start-up, imports, first dispatch).
 _DOC_MS = 0.25
 _ACTOR_START_S = 0.25
+# Documents ``choose_plan`` reads from the head of the input (1-2 input
+# blocks, re-read by the main run — bounded cost at any corpus size).
+_SAMPLE_DOCS = 512
 
 
 def _cluster_cpus() -> int:
@@ -169,7 +171,7 @@ class FusedExtractor(SpanExtractor):
 
 def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                    batch_size: int | None = None,
-                   concurrency: int | None = None, num_cpus=None,
+                   concurrency: int | None = None,
                    policy: str = "text", offset_range=None,
                    media_store=None, with_stats: bool = False, model=None,
                    metrics_sink=None, metrics_tag=None,
@@ -178,8 +180,7 @@ def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     [+stats]): one ``FusedExtractor`` actor stage on the pool
     ``ocr_pool`` sizes, capped at ``concurrency``."""
     pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-                    probe=probe, cap=concurrency, num_cpus=num_cpus,
-                    batch_size=batch_size)
+                    probe=probe, cap=concurrency, batch_size=batch_size)
     return docs.map_batches(
         FusedExtractor,
         batch_format="pyarrow",
@@ -203,10 +204,9 @@ def check_plan(plan: str | None) -> None:
 
 
 def choose_plan(docs, *, ocr_latency_ms: float = 0.0,
-                sample_docs: int = 512, with_probe: bool = False):
-    """Probe the first ``sample_docs`` documents (1-2 input blocks,
-    re-read by the main run — bounded cost at any corpus size) and
-    return the plan, always ``"fused"``.
+                with_probe: bool = False):
+    """Probe the first ``_SAMPLE_DOCS`` documents and return the plan,
+    always ``"fused"``.
 
     ``with_probe=True`` returns ``("fused", DocProbe)`` so the sample
     sizes the actor pool (``ocr_pool``).  ``ocr_latency_ms`` does not
@@ -214,8 +214,8 @@ def choose_plan(docs, *, ocr_latency_ms: float = 0.0,
     the latency it passes ``auto_pipeline``.
     """
     try:
-        sample = docs.limit(sample_docs).take_batch(
-            sample_docs, batch_format="pyarrow"
+        sample = docs.limit(_SAMPLE_DOCS).take_batch(
+            _SAMPLE_DOCS, batch_format="pyarrow"
         )
     except ValueError:
         # take_batch raises ValueError only for an exhausted/empty
@@ -228,14 +228,14 @@ def choose_plan(docs, *, ocr_latency_ms: float = 0.0,
         n = len(spans)
         kinds = pc.struct_field(pc.list_flatten(spans), "kind")
         media = pc.sum(pc.equal(kinds, "media")).as_py() or 0
-    probe = DocProbe(n, n < sample_docs, media / n if n else 0.0)
+    probe = DocProbe(n, n < _SAMPLE_DOCS, media / n if n else 0.0)
     return ("fused", probe) if with_probe else "fused"
 
 
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                   policy: str = "text", offset_range=None,
                   ocr_concurrency: int | None = None,
-                  ocr_num_cpus=None, with_stats: bool = False,
+                  with_stats: bool = False,
                   plan: str | None = None, model=None):
     """The engine's default: probe the input, then run the fused plan
     on a pool sized from the probe's sample.  Returns (plan_name, ds).
@@ -250,7 +250,6 @@ def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                                 ocr_latency_ms=ocr_latency_ms,
                                 policy=policy, offset_range=offset_range,
                                 concurrency=ocr_concurrency,
-                                num_cpus=ocr_num_cpus,
                                 with_stats=with_stats, model=model,
                                 probe=probe)
 
@@ -277,13 +276,16 @@ REF_CSV_COLUMNS = ["file", "engine", "chars", "pages", "type"]
 
 
 def compat_summary_rows(stats: pa.Table) -> pa.Table:
-    """with_stats rows → the reference's literal CSV row shape
-    (``ocr_router.py:386,406-408``: ``file, engine, chars, pages,
-    type``): file = doc_id (the engine's document/file analog, SURVEY
-    §1.1), pages = output span count (the page analog), type = 'pdf'
-    for multi-span documents / 'image' for single-span ones — the
-    reference's filename-suffix test re-expressed over the interleaved
-    data model, where a document IS the ordered page sequence."""
+    """with_stats rows → the reference's CSV columns (``ocr_router.py:
+    386,406-408``: ``file, engine, chars, pages, type``): file = doc_id
+    (the engine's document/file analog, SURVEY §1.1), pages = output
+    span count (the page analog), type = ``pdf`` for multi-span
+    documents and ``image`` for single-span ones — the reference's
+    filename-suffix test re-expressed over the interleaved data model,
+    where a document IS the ordered page sequence.  The columns match,
+    the bytes do not: ``type`` is lower-case ``pdf``/``image``, and
+    ``chars`` counts the span texts only, without the page separators
+    the reference's joined text includes."""
     stats = stats.combine_chunks()
     pages = stats.column("n_spans").cast(pa.int64())
     return pa.table(
@@ -298,49 +300,18 @@ def compat_summary_rows(stats: pa.Table) -> pa.Table:
     )
 
 
-@contextmanager
-def _ref_csv_writer(path: str):
-    """Atomic reference-format CSV file: header row, tmp-file write,
-    rename on success — the ONE emission convention shared by the
-    single-file writer below and the runner's per-partition parts."""
+def write_csv_table(rows: pa.Table, path: str) -> None:
+    """One ``compat_summary_rows`` table → one CSV with the reference's
+    header row, written atomically (``state.manifest.atomic_file``)."""
     import csv
-    import os
 
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as f:
+    from ..state.manifest import atomic_file
+
+    with atomic_file(path, newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(REF_CSV_COLUMNS)
-        yield w
-    os.replace(tmp, path)
-
-
-def write_csv_table(rows: pa.Table, path: str) -> None:
-    """One ``compat_summary_rows`` table → one reference-format CSV
-    (atomic).  The bounded-size path (a partition's summary)."""
-    with _ref_csv_writer(path) as w:
         w.writerows(zip(*(rows.column(c).to_pylist()
                           for c in REF_CSV_COLUMNS)))
-
-
-def write_summary_csv(extracted_with_stats, path: str, *,
-                      single_file: bool = False) -> None:
-    """Reference-format CSV summary writer (K3 compat,
-    ``ocr_router.py:378-386``).  Default: partitioned CSV parts via
-    ``Dataset.write_csv`` (resumable, never one giant file).
-    ``single_file=True`` streams the blocks — sorted by file for a
-    stable byte-level artifact diff against the reference — into ONE
-    csv at ``path``; driver-local convenience for compat checks, not
-    the scale path."""
-    ds = extracted_with_stats.map_batches(
-        compat_summary_rows, batch_format="pyarrow")
-    if not single_file:
-        ds.write_csv(path)
-        return
-    with _ref_csv_writer(path) as w:
-        for b in ds.sort("file").iter_batches(batch_size=4096,
-                                              batch_format="pyarrow"):
-            w.writerows(zip(*(b.column(c).to_pylist()
-                              for c in REF_CSV_COLUMNS)))
 
 
 def corpus_summary(extracted_with_stats):

@@ -120,9 +120,9 @@ def main(argv=None) -> int:
                          "<output>/summary/ — the --csv flag of "
                          "ocr_router.py, one part per partition")
     ap.add_argument("--wave", type=int, default=4,
-                    help="extract job: partitions executed concurrently "
-                         "(prep/curate schedule one Ray task per "
-                         "partition, so Ray owns their parallelism)")
+                    help="extract job only: partitions executed "
+                         "concurrently (the other jobs run one Ray task "
+                         "per partition, so Ray owns their parallelism)")
     ap.add_argument("--max-partitions", type=int, default=None,
                     help="bound pending partitions this run (kill/resume testing)")
     ap.add_argument("--num-cpus", type=int, default=None,
@@ -233,7 +233,6 @@ def main(argv=None) -> int:
                     max_top2gram_e4=args.max_top2gram_e4,
                     sample_k=args.sample_k,
                     sample_seed=args.sample_seed,
-                    wave=args.wave,
                     max_partitions=args.max_partitions,
                 )
             else:
@@ -241,7 +240,6 @@ def main(argv=None) -> int:
                     args.input,
                     args.output,
                     quality_threshold=args.quality_threshold,
-                    wave=args.wave,
                     max_partitions=args.max_partitions,
                     shuffle_seed=args.shuffle_seed,
                     partition_by=args.partition_by,

@@ -699,26 +699,27 @@ class SigShard:
 
 def _atomic_snapshot_save(path: str, meta: dict, dump) -> int:
     """Shared save scaffolding for both index kinds: append-only
-    guard FIRST (before any dump work), stale-tmp cleanup, shard-
-    parallel dump via ``dump(tmp_dir)``, meta last, atomic rename."""
+    guard FIRST (before any dump work), then the commit protocol of
+    ``state/manifest.py`` — a crashed save's staging dir (maybe with
+    a different fan-out) is cleaned so no stale shard file leaks into
+    the snapshot, the shard-parallel dump writes ``dump(tmp_dir)``,
+    the meta goes last, and the dir is renamed into place."""
     import json
     import os
-    import shutil
+
+    from .manifest import publish_dir, stage
 
     if os.path.exists(path):
         raise FileExistsError(
             f"index save: {path} exists; saves are append-only "
             "snapshots — pick a fresh path per ingest epoch"
         )
-    tmp = path + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)  # a crashed save with a different fan-out
-        # must not leak stale shard files into the snapshot
+    tmp = stage(path)
     os.makedirs(tmp)
     n = dump(tmp)
     with open(os.path.join(tmp, "index.json"), "w") as f:
         json.dump({**meta, "entries": n}, f)
-    os.replace(tmp, path)
+    publish_dir(path)
     return n
 
 

@@ -1,9 +1,11 @@
-"""Resumable partitioned runners (extract, prep, curate).
+"""Resumable partitioned runners (extract, prep, curate, export,
+ingest).
 
-Partition unit = one input data file of the documents table; every
-partition commits atomically (output → ``_tmp`` dir → rename →
-manifest record) and a killed run resumes by fingerprint-matching the
-manifest, redoing only missing partitions (SURVEY.md §4.3).
+Partition unit = one input data file of the documents table (a shard
+for the export's pack phase).  Every unit commits through the one
+protocol in ``state/manifest.py`` (clean, write to ``_tmp-*``, rename,
+then the keyed record), and a killed run resumes by fingerprint-matching
+the records, redoing only missing units (SURVEY.md §4.3).
 
 Two execution shapes, chosen by what the per-partition work needs:
 
@@ -12,17 +14,17 @@ Two execution shapes, chosen by what the per-partition work needs:
   actor-pool stage that extracts and reassembles each batch of
   documents); ``wave`` partitions run concurrently so the cluster
   stays saturated.
-- **prep / curate annotate** (``_run_two_phase``): the per-partition
-  work is a map-only pass whose parallelism unit IS the partition, so
-  each runs as ONE plain Ray task (streaming parquet read inside the
-  task) — per-partition Dataset executors measurably anti-scale on
-  many-small-file inputs (BASELINE.md r3 'annotate phase').
+- **prep / curate annotate, export pack** (``_run_tasks``): the
+  per-partition work is a map-only pass whose parallelism unit IS the
+  partition, so each runs as ONE plain Ray task (streaming parquet read
+  inside the task) — per-partition Dataset executors measurably
+  anti-scale on many-small-file inputs (BASELINE.md r3 'annotate
+  phase').
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,7 +32,9 @@ import numpy as np
 from ..pipelines.extract import check_plan, fused_pipeline
 from ..sources.io import (list_input_files, read_documents,
                           read_documents_files, write_extracted)
-from .manifest import Manifest, partition_fingerprint
+from .manifest import (Manifest, done_record, fingerprint,
+                       partition_fingerprint, publish_dir, read_record,
+                       stage, write_record)
 
 
 def _partition_metrics(part_dir: str) -> dict:
@@ -110,24 +114,19 @@ def _run_partition(
         model=model, metrics_sink=metrics_sink, metrics_tag=pid,
         probe=probe,
     )
-    part_dir = manifest.part_dir(pid)
-    tmp_dir = os.path.join(manifest.output_dir, f"_tmp-part-{pid:05d}")
-    for stale in (tmp_dir, part_dir):
-        if os.path.isdir(stale):
-            shutil.rmtree(stale)  # uncommitted leftovers from a killed run
-    write_extracted(out, tmp_dir)
-    os.replace(tmp_dir, part_dir)
+    tmp_dir = manifest.stage(pid)
     # a recommitted partition invalidates any previous summary csv;
     # drop it so a non-csv run never leaves a stale part claiming to
-    # summarize the new data (the csv_summary path rewrites it below
-    # via _ensure_partition_csv in run_extract)
+    # summarize the new data (the csv_summary path rewrites it via
+    # _ensure_partition_csv in run_extract)
     stale_csv = _partition_csv_path(manifest.output_dir, pid)
     if os.path.exists(stale_csv):
         os.remove(stale_csv)
+    write_extracted(out, tmp_dir)
     record = {
         "input_file": os.path.abspath(input_file),
         "input_fingerprint": partition_fingerprint(input_file),
-        **_partition_metrics(part_dir),
+        **_partition_metrics(tmp_dir),
     }
     if metrics_sink is not None:
         # drain THIS partition's actor resource samples (the write +
@@ -163,16 +162,9 @@ def _annotate_file_task(input_file: str, tmp_dir: str, make_annotator,
     stage is map-only, and ``ParquetFile.iter_batches`` bounds memory
     to one batch — the Dataset machinery buys nothing here.  This is
     the sanctioned raw-task escape hatch: a per-file commit unit the
-    Dataset API cannot express without paying per-file executors.
-
-    SHARED-FS REQUIREMENT (ADVICE r3): the task writes ``tmp_dir`` on
-    the worker while the DRIVER performs the ``os.replace`` commit, so
-    both must see one filesystem.  True in this sandbox (single node)
-    and on any cluster whose checkpoint dir is shared storage (NFS,
-    FSx, blob-mount) — which a 100-TB output dir is in practice.  On
-    node-local disks, swap the write for the storage abstraction in
-    ``sources.io`` (fsspec-style URI) so tmp + rename target the same
-    remote store; the commit protocol itself is unchanged."""
+    Dataset API cannot express without paying per-file executors.  The
+    driver commits ``tmp_dir`` (``_run_tasks``), hence the shared-FS
+    requirement in ``state/manifest.py``."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -201,6 +193,43 @@ def _annotate_file_task(input_file: str, tmp_dir: str, make_annotator,
     return kept
 
 
+def _run_tasks(job: str, manifest: Manifest, fn, inputs: dict,
+               make_record, *fn_args) -> None:
+    """Run ``fn(input, tmp_dir, *fn_args)`` as one Ray task per
+    partition of ``inputs`` (``{pid: input path}``) and commit each
+    partition, with ``make_record(pid, result)``, on the DRIVER as its
+    task finishes, so the manifest stays single-writer.  A failed task
+    does not stop the others from committing; all failures raise
+    together at the end, and the committed partitions are skipped on
+    the rerun."""
+    import ray
+
+    task = ray.remote(num_cpus=1)(fn)
+    refs = {task.remote(src, manifest.stage(pid), *fn_args): (pid, src)
+            for pid, src in inputs.items()}
+    failures = []
+    while refs:
+        # drain every ready task per round (one wait RTT per task
+        # serialized the commit loop on 200-tiny-file inputs)
+        done_refs, _ = ray.wait(
+            list(refs), num_returns=min(len(refs), 64), timeout=1.0
+        )
+        for ref in done_refs:
+            pid, name = refs.pop(ref)
+            try:
+                result = ray.get(ref)
+            except Exception as e:  # noqa: BLE001 - commit the rest
+                failures.append((name, e))
+                continue
+            manifest.commit(pid, make_record(pid, result))
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)} {job} partition(s) failed "
+            f"(others committed; rerun resumes): "
+            + "; ".join(f"{name}: {e}" for name, e in failures[:5])
+        )
+
+
 def _run_two_phase(
     job: str,
     input_path: str,
@@ -212,7 +241,6 @@ def _run_two_phase(
     finalize_sig: str,
     write_kwargs: dict | None = None,
     record_extra: dict | None = None,
-    wave: int = 4,
     max_partitions: int | None = None,
 ) -> dict:
     """Generic resumable two-phase export (VERDICT r2 #6 — the
@@ -222,29 +250,25 @@ def _run_two_phase(
     1. **Annotate** (resumable, partition = input file):
        ``make_annotator()`` maps each document block to its scalar
        annotation rows, text dropped at the stage boundary.  Each
-       partition commits atomically (tmp → rename → manifest record)
-       under ``output_dir/annotated``; a rerun fingerprint-matches and
-       redoes only missing partitions.  ``annotate_sig`` folds the
-       gate/annotate config into the partition fingerprint, so a config
-       change redoes the annotate pass.
+       partition runs as one Ray task and commits under
+       ``output_dir/annotated`` (``_run_tasks``); a rerun
+       fingerprint-matches and redoes only missing partitions.
+       ``annotate_sig`` folds the gate/annotate config into the
+       partition fingerprint, so a config change redoes the annotate
+       pass.
     2. **Finalize** (global, cheap): ``build_finalize(ann_ds)`` runs the
        cross-partition step (dedup / sample / shuffle) over the
-       committed annotations — scalar columns only, no text — written
-       atomically to ``output_dir/data``.  The finalize record is keyed
-       on the sorted partition fingerprints plus ``finalize_sig``, so
-       input or export-config changes re-run only this pass.
+       committed annotations — scalar columns only, no text — committed
+       to ``output_dir/data``.  The finalize record is keyed on the
+       sorted partition fingerprints plus ``finalize_sig``, so input or
+       export-config changes re-run only this pass.
 
     A kill anywhere leaves either nothing or a committed unit; resume
     cost is bounded by one partition plus the finalize pass.
     ``max_partitions`` bounds phase-1 work (the kill-simulation hook);
     when partitions remain pending the summary reports
-    ``status="partial"`` and finalize is skipped.  ``wave`` is accepted
-    for CLI compatibility but unused: annotate partitions run as plain
-    Ray tasks, so Ray schedules parallelism = cluster CPUs directly.
+    ``status="partial"`` and finalize is skipped.
     """
-    import hashlib
-    import json
-
     files = list_input_files(input_path)
     if not files:
         raise FileNotFoundError(f"no input data files under {input_path}")
@@ -263,57 +287,17 @@ def _run_two_phase(
     if max_partitions is not None:
         pending = pending[:max_partitions]
     if pending:
-        # one Ray task per partition (see _annotate_file_task for why
-        # not per-file Datasets); Ray schedules parallelism = cluster
-        # CPUs, so no wave/thread machinery is needed.  The tmp-write →
-        # rename → manifest commit happens DRIVER-side on completion,
-        # keeping the manifest single-writer and the crash window
-        # identical to the extract runner's.
-        import ray
-
-        task = ray.remote(num_cpus=1)(_annotate_file_task)
-        refs = {}
-        for pid, f in pending:
-            part_dir = manifest.part_dir(pid)
-            tmp_dir = os.path.join(manifest.output_dir,
-                                   f"_tmp-part-{pid:05d}")
-            for stale in (tmp_dir, part_dir):
-                if os.path.isdir(stale):
-                    shutil.rmtree(stale)  # leftovers from a killed run
-            refs[task.remote(f, tmp_dir, make_annotator)] = (pid, f)
-        failures = []
-        while refs:
-            # drain every ready task per round (one wait RTT per task
-            # serialized the commit loop on 200-tiny-file inputs)
-            done_refs, _ = ray.wait(
-                list(refs), num_returns=min(len(refs), 64), timeout=1.0
-            )
-            for ref in done_refs:
-                pid, f = refs.pop(ref)
-                try:
-                    kept = ray.get(ref)
-                except Exception as e:  # noqa: BLE001 - commit the rest
-                    # one corrupt file must not discard the other
-                    # partitions' finished work: keep draining and
-                    # committing, report all failures at the end (the
-                    # committed partitions are skipped on the rerun)
-                    failures.append((f, e))
-                    continue
-                tmp_dir = os.path.join(manifest.output_dir,
-                                       f"_tmp-part-{pid:05d}")
-                os.replace(tmp_dir, manifest.part_dir(pid))
-                manifest.commit(pid, {
-                    "input_file": os.path.abspath(f),
-                    "input_fingerprint": fps[pid],
-                    "docs_kept": kept,
-                    **(record_extra or {}),
-                })
-        if failures:
-            raise RuntimeError(
-                f"{len(failures)} annotate partition(s) failed "
-                f"(others committed; rerun resumes): "
-                + "; ".join(f"{f}: {e}" for f, e in failures[:5])
-            )
+        _run_tasks(
+            "annotate", manifest, _annotate_file_task,
+            dict(pending),
+            lambda pid, kept: {
+                "input_file": os.path.abspath(files[pid]),
+                "input_fingerprint": fps[pid],
+                "docs_kept": kept,
+                **(record_extra or {}),
+            },
+            make_annotator,
+        )
     summary = {
         "job": job,
         "partitions_total": len(files),
@@ -326,26 +310,17 @@ def _run_two_phase(
         return {**summary, "status": "partial", "rows_kept": None}
 
     # --- finalize: the global pass over the committed annotations ----
-    finalize_key = hashlib.sha256(
-        json.dumps(
-            [fps[pid] for pid in sorted(fps)] + [finalize_sig]
-        ).encode()
-    ).hexdigest()[:16]
+    finalize_key = fingerprint([fps[pid] for pid in sorted(fps)]
+                               + [finalize_sig])
     final_rec_path = os.path.join(output_dir, "final.json")
     data_dir = summary["data_dir"]
-    try:
-        with open(final_rec_path) as f:
-            final_rec = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError):
-        final_rec = None
-    if (
-        final_rec is not None
-        and final_rec.get("finalize_key") == finalize_key
-        and os.path.isdir(data_dir)
-    ):
+    final_rec = done_record(final_rec_path, "finalize_key", finalize_key,
+                            data_dir)
+    if final_rec is not None:
         return {**summary, "status": "done",
                 "rows_kept": final_rec["rows_kept"], "finalized": False}
 
+    import pyarrow.dataset as pads
     import ray.data as rd
 
     part_files = [
@@ -355,23 +330,13 @@ def _run_two_phase(
         if f.endswith(".parquet")
     ]
     out = build_finalize(rd.read_parquet(part_files))
-    tmp_data = os.path.join(output_dir, "_tmp-data")
-    for stale in (tmp_data, data_dir):
-        if os.path.isdir(stale):
-            shutil.rmtree(stale)
-    out.write_parquet(tmp_data, **(write_kwargs or {}))
     # a 0-row write (every document gated away) creates no directory;
-    # commit an empty one so resume/read see a valid finalized export
-    os.makedirs(tmp_data, exist_ok=True)
-    os.replace(tmp_data, data_dir)
-    import pyarrow.dataset as pads
-
+    # publish_dir commits an empty one so resume/read see a valid export
+    out.write_parquet(stage(data_dir), **(write_kwargs or {}))
+    publish_dir(data_dir)
     rows_kept = pads.dataset(data_dir, partitioning="hive").count_rows()
-    tmp_rec = final_rec_path + ".tmp"
-    with open(tmp_rec, "w") as f:
-        json.dump({"finalize_key": finalize_key, "rows_kept": rows_kept,
-                   "status": "done"}, f, indent=1)
-    os.replace(tmp_rec, final_rec_path)
+    write_record(final_rec_path, {"finalize_key": finalize_key,
+                                  "rows_kept": rows_kept, "status": "done"})
     return {**summary, "status": "done", "rows_kept": rows_kept,
             "finalized": True}
 
@@ -381,7 +346,6 @@ def run_prep(
     output_dir: str,
     *,
     quality_threshold: float = 0.01,
-    wave: int = 4,
     max_partitions: int | None = None,
     shuffle_seed: int | None = None,
     partition_by: str | None = None,
@@ -407,7 +371,6 @@ def run_prep(
         write_kwargs={"partition_cols": [partition_by]}
         if partition_by else None,
         record_extra={"quality_threshold": quality_threshold},
-        wave=wave,
         max_partitions=max_partitions,
     )
 
@@ -421,7 +384,6 @@ def run_curate(
     sample_k: int = 20,
     sample_seed: int = 0,
     fan_in: int = 64,
-    wave: int = 4,
     max_partitions: int | None = None,
 ) -> dict:
     """Run (or resume) the training-mix curation export: quality +
@@ -447,7 +409,6 @@ def run_curate(
         finalize_sig=f"k={sample_k}:seed={sample_seed}",
         record_extra={"quality_threshold": quality_threshold,
                       "max_top2gram_e4": max_top2gram_e4},
-        wave=wave,
         max_partitions=max_partitions,
     )
 
@@ -555,10 +516,6 @@ def run_export(
     redoes only missing shards.  ``max_partitions`` bounds phase-2
     shards per run (the kill-simulation hook).
     """
-    import hashlib
-    import json as _json
-
-    import ray
     import ray.data as rd
 
     files = list_input_files(input_path)
@@ -570,26 +527,16 @@ def run_export(
             f"no mix-manifest parquet under {manifest_path}"
         )
     os.makedirs(output_dir, exist_ok=True)
-    select_key = hashlib.sha256(
-        _json.dumps(
-            [partition_fingerprint(f) for f in files]
-            + [partition_fingerprint(f) for f in man_files]
-            + [f"shards={n_shards}"]
-        ).encode()
-    ).hexdigest()[:16]
+    select_key = fingerprint(
+        [partition_fingerprint(f) for f in files]
+        + [partition_fingerprint(f) for f in man_files]
+        + [f"shards={n_shards}"]
+    )
     selected_dir = os.path.join(output_dir, "selected")
     sel_rec_path = os.path.join(output_dir, "select.json")
-    try:
-        with open(sel_rec_path) as f:
-            sel_rec = _json.load(f)
-    except (FileNotFoundError, _json.JSONDecodeError):
-        sel_rec = None
-    selected_fresh = False
-    if not (
-        sel_rec is not None
-        and sel_rec.get("select_key") == select_key
-        and os.path.isdir(selected_dir)
-    ):
+    selected_fresh = done_record(sel_rec_path, "select_key", select_key,
+                                 selected_dir) is None
+    if selected_fresh:
         from ..functions.relational import hash_join
 
         import pyarrow as pa
@@ -608,18 +555,10 @@ def run_export(
 
         out = joined.map_batches(add_shard, batch_format="pyarrow",
                                  zero_copy_batch=True)
-        tmp_sel = os.path.join(output_dir, "_tmp-selected")
-        for stale in (tmp_sel, selected_dir):
-            if os.path.isdir(stale):
-                shutil.rmtree(stale)
-        out.write_parquet(tmp_sel, partition_cols=["shard"])
-        os.replace(tmp_sel, selected_dir)
-        tmp_rec = sel_rec_path + ".tmp"
-        with open(tmp_rec, "w") as f:
-            _json.dump({"select_key": select_key, "n_shards": n_shards}, f,
-                       indent=1)
-        os.replace(tmp_rec, sel_rec_path)
-        selected_fresh = True
+        out.write_parquet(stage(selected_dir), partition_cols=["shard"])
+        publish_dir(selected_dir)
+        write_record(sel_rec_path, {"select_key": select_key,
+                                    "n_shards": n_shards})
 
     data_dir = os.path.join(output_dir, "data")
     os.makedirs(data_dir, exist_ok=True)
@@ -635,32 +574,13 @@ def run_export(
     if max_partitions is not None:
         pending = pending[:max_partitions]
     if pending:
-        task = ray.remote(num_cpus=1)(_pack_shard_task)
-        refs = {}
-        for k in pending:
-            part_dir = manifest.part_dir(k)
-            tmp_dir = os.path.join(manifest.output_dir,
-                                   f"_tmp-part-{k:05d}")
-            for stale in (tmp_dir, part_dir):
-                if os.path.isdir(stale):
-                    shutil.rmtree(stale)
-            shard_dir = os.path.join(selected_dir, f"shard={k}")
-            refs[task.remote(shard_dir, tmp_dir, capacity)] = k
-        while refs:
-            done_refs, _ = ray.wait(
-                list(refs), num_returns=min(len(refs), 64), timeout=1.0
-            )
-            for ref in done_refs:
-                k = refs.pop(ref)
-                stats = ray.get(ref)
-                tmp_dir = os.path.join(manifest.output_dir,
-                                       f"_tmp-part-{k:05d}")
-                os.replace(tmp_dir, manifest.part_dir(k))
-                manifest.commit(k, {
-                    "input_fingerprint": shard_fp(k),
-                    "capacity": capacity,
-                    **stats,
-                })
+        _run_tasks(
+            "pack", manifest, _pack_shard_task,
+            {k: os.path.join(selected_dir, f"shard={k}") for k in pending},
+            lambda k, stats: {"input_fingerprint": shard_fp(k),
+                              "capacity": capacity, **stats},
+            capacity,
+        )
     summary = {
         "job": "export",
         "shards_total": n_shards,
@@ -792,32 +712,54 @@ def run_ingest(input_path: str, output_dir: str, *,
     ``render_spans_text`` rendering).
 
     Layout: ``data/`` (kept rows), ``index/`` (the new sealed
-    snapshot), ``ingest.json`` (completion key, written last).  Crash
-    anywhere → rerun with the same arguments: offers are idempotent,
-    the filter pass is deterministic (global min doc_id wins), the
-    data dir is rebuilt from scratch if its completion key is missing,
-    and an already-saved snapshot is reused as-is (same determinism).
-    ``index_path`` is the previous epoch's snapshot (omit for epoch 0);
-    its pinned shard fan-out and MinHash parameters win over the
-    arguments here.
+    snapshot), ``ingest.json`` (completion record, written last, keyed
+    on the input files' fingerprints, ``mode``, the near-mode
+    ``threshold`` and ``hot_bucket_cap``, and the absolute
+    ``index_path``).  Crash anywhere → rerun with the same arguments:
+    offers are idempotent, the filter pass is deterministic (global min
+    doc_id wins), and the data dir and snapshot are rebuilt from
+    scratch when the record is missing.  A rerun with the same key
+    returns the recorded summary; an output dir holding another key's
+    epoch (or a record without a key) raises ``ValueError`` —
+    snapshots are append-only, so a different epoch needs a fresh
+    output dir.  ``index_path`` is the previous epoch's snapshot (omit
+    for epoch 0); its pinned shard fan-out and MinHash parameters win
+    over the arguments here, which is why ``n_shards`` is not part of
+    the key.
     """
-    import json
-
-    from .dedup_index import (DedupIndex, NearDupIndex,
-                              _load_snapshot_meta, ingest_dedup,
+    from .dedup_index import (DedupIndex, NearDupIndex, ingest_dedup,
                               ingest_neardup, render_spans_text)
 
     if mode not in ("exact", "near"):
         raise ValueError(f"run_ingest: unknown mode {mode!r} "
                          "(expected 'exact' or 'near')")
 
-    done_key = os.path.join(output_dir, "ingest.json")
-    if os.path.exists(done_key):
-        with open(done_key) as f:
-            return json.load(f)  # resume: epoch already complete
-    os.makedirs(output_dir, exist_ok=True)
     data_dir = os.path.join(output_dir, "data")
     index_dir = os.path.join(output_dir, "index")
+    if index_path and os.path.abspath(index_path) == os.path.abspath(
+            index_dir):
+        raise ValueError(f"run_ingest: {index_path} is this epoch's own "
+                         "output snapshot; snapshots are append-only, so "
+                         "pick a fresh output dir")
+    rec_path = os.path.join(output_dir, "ingest.json")
+    ingest_key = fingerprint(
+        [partition_fingerprint(f) for f in list_input_files(input_path)]
+        + [f"mode={mode}"]
+        + ([f"threshold={threshold!r}", f"cap={hot_bucket_cap}"]
+           if mode == "near" else [])
+        + [f"index={os.path.abspath(index_path) if index_path else None}"]
+    )
+    rec = read_record(rec_path)
+    if rec is not None and rec.get("ingest_key") != ingest_key:
+        raise ValueError(
+            f"run_ingest: {output_dir} holds a different ingest epoch "
+            "(other input files, mode, threshold, hot_bucket_cap or "
+            "index); index snapshots are append-only, so pick a fresh "
+            "output dir for this one")
+    if done_record(rec_path, "ingest_key", ingest_key, data_dir):
+        rec.pop("ingest_key")
+        return rec  # resume: this epoch is already complete
+    os.makedirs(output_dir, exist_ok=True)
 
     # the exact index accepts BOTH corpus shapes (interleaved spans or
     # flat text); the interleaved schema validator only applies to the
@@ -858,26 +800,16 @@ def run_ingest(input_path: str, output_dir: str, *,
         kept = ingest_dedup(docs, index, keep_cols=keep_cols,
                             stats=stats)
 
-    tmp = data_dir + "_tmp"
-    for d in (tmp, data_dir):
-        if os.path.isdir(d):
-            shutil.rmtree(d)  # deterministic rebuild after a crash
-    os.makedirs(tmp)  # an all-duplicates epoch writes ZERO files —
-    # the dir must exist for the rename and stay valid when empty
-    kept.write_parquet(tmp)
-    os.replace(tmp, data_dir)
+    # deterministic rebuild after a crash; an all-duplicates epoch
+    # writes ZERO files and publishes an empty (valid) data dir
+    kept.write_parquet(stage(data_dir))
+    publish_dir(data_dir)
     n_input = stats["n_input"]
 
-    if os.path.isdir(index_dir):
-        # crash landed between snapshot and completion key: the saved
-        # snapshot is identical by determinism — reuse it, but only if
-        # it is the SAME dedup kind (a crashed near run rerun as exact
-        # would otherwise pair exact data with a near-dup index)
-        meta = _load_snapshot_meta(
-            index_dir, "neardup" if mode == "near" else "exact")
-        n_entries = meta["entries"]
-    else:
-        n_entries = index.save(index_dir)
+    # an index dir without this epoch's record is a killed run's
+    # leftover, maybe of other input: clean it and save this index
+    stage(index_dir)
+    n_entries = index.save(index_dir)
 
     import pyarrow.parquet as pq
 
@@ -897,8 +829,5 @@ def run_ingest(input_path: str, output_dir: str, *,
     for k in ("t_offer_s", "t_decide_s", "n_saturated_bucket_probes"):
         if k in stats:
             summary[k] = stats[k]
-    tmp_key = done_key + ".tmp"
-    with open(tmp_key, "w") as f:
-        json.dump(summary, f)
-    os.replace(tmp_key, done_key)
+    write_record(rec_path, {**summary, "ingest_key": ingest_key})
     return summary

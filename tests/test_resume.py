@@ -150,7 +150,7 @@ def test_prep_partial_run_then_resume(ray_session, docs_shards, tmp_path):
     from ollama_ocr_ray.state.runner import run_prep
 
     out = str(tmp_path / "prep")
-    s1 = run_prep(docs_shards, out, max_partitions=2, wave=2)
+    s1 = run_prep(docs_shards, out, max_partitions=2)
     assert s1["status"] == "partial" and s1["partitions_run"] == 2
     assert s1["rows_kept"] is None
     assert not os.path.isdir(s1["data_dir"]), "finalize must not run partial"
@@ -158,7 +158,7 @@ def test_prep_partial_run_then_resume(ray_session, docs_shards, tmp_path):
     assert len(m.records()) == 2
     mtimes = {pid: os.stat(m.part_dir(pid)).st_mtime_ns for pid in (0, 1)}
 
-    s2 = run_prep(docs_shards, out, wave=2)
+    s2 = run_prep(docs_shards, out)
     assert s2["status"] == "done" and s2["partitions_skipped"] == 2
     assert s2["partitions_run"] == 2 and s2["finalized"] is True
     for pid, mt in mtimes.items():
@@ -199,7 +199,7 @@ def test_curate_run_and_resume(ray_session, docs_shards, tmp_path, capsys):
 
     out = str(tmp_path / "curate")
     s1 = run_curate(docs_shards, out, sample_k=5, sample_seed=7,
-                    max_partitions=2, wave=2)
+                    max_partitions=2)
     assert s1["status"] == "partial" and s1["partitions_run"] == 2
 
     assert main(["--input", docs_shards, "--output", out, "--job",
@@ -239,7 +239,7 @@ def test_prep_append_new_partition(ray_session, docs_shards, tmp_path):
     src = str(tmp_path / "src")
     shutil.copytree(docs_shards, src)
     out = str(tmp_path / "prep")
-    s1 = run_prep(src, out, wave=2)
+    s1 = run_prep(src, out)
     assert s1["status"] == "done" and s1["partitions_total"] == 4
 
     # append: re-shard one file under a new name sorting LAST so the
@@ -247,7 +247,7 @@ def test_prep_append_new_partition(ray_session, docs_shards, tmp_path):
     files = sorted(os.listdir(src))
     shutil.copy(os.path.join(src, files[0]),
                 os.path.join(src, "docs-99-extra.parquet"))
-    s2 = run_prep(src, out, wave=2)
+    s2 = run_prep(src, out)
     assert s2["partitions_total"] == 5
     assert s2["partitions_skipped"] == 4 and s2["partitions_run"] == 1
     assert s2["finalized"] is True
@@ -308,6 +308,42 @@ def test_prep_one_bad_partition_commits_others(ray_session, docs_shards,
     assert s["status"] == "done"
 
 
+def test_export_one_bad_shard_commits_others(ray_session, docs_shards,
+                                             tmp_path):
+    """A pack task that fails on a corrupt selected shard must not
+    discard the other shards' finished packs: they commit, only the
+    failed shard's staging dir stays, and one error names the count.
+    A fresh selection then resumes with only that shard."""
+    import pyarrow.parquet as pq
+
+    from ollama_ocr_ray.state.runner import run_export
+
+    man = tmp_path / "mix"
+    man.mkdir()
+    pq.write_table(pq.read_table(docs_shards, columns=["doc_id"]),
+                   str(man / "part-0.parquet"))
+    out = str(tmp_path / "export")
+    kw = dict(manifest_path=str(man), capacity=256, n_shards=4)
+    s0 = run_export(docs_shards, out, max_partitions=0, **kw)  # select only
+    assert s0["status"] == "partial" and s0["shards_run"] == 0
+    shard0 = os.path.join(out, "selected", "shard=0")
+    victim = os.path.join(shard0, sorted(os.listdir(shard0))[0])
+    with open(victim, "wb") as f:
+        f.write(b"this is not parquet")
+    with pytest.raises(RuntimeError, match="1 pack partition"):
+        run_export(docs_shards, out, **kw)
+    data = os.path.join(out, "data")
+    assert sorted(r["partition_id"] for r in Manifest(data).records()) \
+        == [1, 2, 3]
+    assert [d for d in os.listdir(data) if d.startswith("_tmp-")] \
+        == ["_tmp-part-00000"]
+    os.remove(os.path.join(out, "select.json"))  # force a re-select
+    s = run_export(docs_shards, out, **kw)
+    assert s["status"] == "done" and s["selected_fresh"] is True
+    assert s["shards_run"] == 1 and s["shards_skipped"] == 3
+    assert s["docs"] == 500
+
+
 def test_export_packed_shards_run_and_resume(ray_session, docs_shards,
                                              tmp_path, capsys):
     """--job export (VERDICT r3 missing #3): curate mix manifest →
@@ -325,7 +361,7 @@ def test_export_packed_shards_run_and_resume(ray_session, docs_shards,
     from ollama_ocr_ray.state.runner import run_curate, run_export
 
     cur = str(tmp_path / "curate")
-    sc = run_curate(docs_shards, cur, sample_k=8, sample_seed=3, wave=2)
+    sc = run_curate(docs_shards, cur, sample_k=8, sample_seed=3)
     assert sc["status"] == "done"
     man_dir = sc["data_dir"]
 
@@ -527,6 +563,53 @@ def test_ingest_all_duplicates_epoch_completes(ray_session, tmp_path):
     # the completion key makes the rerun a no-op even with 0 rows
     assert run_ingest(str(src1), str(tmp_path / "e1"),
                       index_path=s0["index_dir"]) == s1
+
+
+def test_ingest_refuses_another_epoch_in_its_output_dir(ray_session,
+                                                         tmp_path):
+    """The ingest record is keyed on what the epoch reads: the same
+    arguments return the recorded summary, while other input, another
+    mode or a record without a key raise instead of handing back the
+    old epoch's summary as the new one; a snapshot left without a
+    record is rebuilt, not reused."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from ollama_ocr_ray import synth
+    from ollama_ocr_ray.state.runner import run_ingest
+
+    def corpus(name, n, seed):
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(synth.gen_table(n, seed=seed), d / "part-0.parquet")
+        return str(d)
+
+    a, b = corpus("a", 20, 5), corpus("b", 35, 6)
+    out = str(tmp_path / "out")
+    s0 = run_ingest(a, out, n_shards=2)
+    assert s0["input_docs"] == 20
+    assert run_ingest(a, out) == s0  # same key: the recorded summary
+    with pytest.raises(ValueError, match="fresh output dir"):
+        run_ingest(b, out)
+    with pytest.raises(ValueError, match="fresh output dir"):
+        run_ingest(a, out, mode="near")
+    rec_path = os.path.join(out, "ingest.json")
+    with open(rec_path) as f:
+        rec = json.load(f)
+    del rec["ingest_key"]  # a record written before the key existed
+    with open(rec_path, "w") as f:
+        json.dump(rec, f)
+    with pytest.raises(ValueError, match="fresh output dir"):
+        run_ingest(a, out)
+    with pytest.raises(ValueError, match="own output snapshot"):
+        run_ingest(a, out, index_path=os.path.join(out, "index"))
+    # killed after the snapshot, before the record: another input's
+    # rerun must not publish its data beside the leftover snapshot
+    os.remove(rec_path)
+    s1 = run_ingest(b, out)
+    assert s1["input_docs"] == 35
+    assert s1["index_entries"] == s1["kept"] == 35
 
 
 def test_ingest_mixed_id_types_across_epochs(ray_session, tmp_path):
@@ -952,8 +1035,8 @@ def test_csv_summary_compat(ray_session, corpus_dir, tmp_path):
     """Reference-format CSV summary (K3 compat, r5): --csv analog
     writes one summary part per committed partition with the literal
     header file,engine,chars,pages,type; rows agree with the stats
-    parquet (pages = span count, type pdf/image by multi-span);
-    resume rewrites idempotently."""
+    parquet (pages = span count, type pdf/image by multi-span); a
+    resumed csv run fills the parts of earlier non-csv commits."""
     import csv
 
     out = str(tmp_path / "csvout")
@@ -984,22 +1067,6 @@ def test_csv_summary_compat(ray_session, corpus_dir, tmp_path):
         assert int(chars) == ref["chars"]
         assert int(pages) == ref["n_spans"]
         assert typ == ("pdf" if ref["n_spans"] > 1 else "image")
-    # single-file library writer over a small extraction
-    import ray.data as rd
-
-    from ollama_ocr_ray.pipelines.extract import (fused_pipeline,
-                                                  write_summary_csv)
-
-    docs = rd.read_parquet(corpus_dir)
-    one = str(tmp_path / "summary.csv")
-    write_summary_csv(
-        fused_pipeline(docs, with_stats=True, concurrency=1),
-        one, single_file=True)
-    with open(one, newline="") as f:
-        r = list(csv.reader(f))
-    assert r[0] == ["file", "engine", "chars", "pages", "type"]
-    assert len(r) - 1 == len(by_id)
-    assert [row[0] for row in r[1:]] == sorted(by_id)  # sorted stable
     # resume coverage: partitions committed by a NON-csv run get their
     # summary parts on the next csv run (no silent holes)
     out2 = str(tmp_path / "csvout2")
