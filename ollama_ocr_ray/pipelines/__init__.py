@@ -1,3 +1,5 @@
-from .extract import auto_pipeline, choose_plan, fused_pipeline, summary_table
+from .extract import (auto_pipeline, choose_plan, fused_pipeline,
+                      split_pipeline, summary_table)
 
-__all__ = ["auto_pipeline", "choose_plan", "fused_pipeline", "summary_table"]
+__all__ = ["auto_pipeline", "choose_plan", "fused_pipeline",
+           "split_pipeline", "summary_table"]

@@ -1,17 +1,26 @@
 """Pipeline composition: documents Dataset → extracted Dataset.
 
-One physical plan: ``fused_pipeline`` runs the extraction kernel
-(``SpanExtractor``: explode, per-kind extract and OCR) and
-``reassemble_sorted_block`` in ONE actor call (``FusedExtractor``).  A
-document is one input row, so all of its span rows come out of one
-call and no exchange is needed (operator fusion).  The skew unit is
-the batch: a single media-heavy document's OCR calls run inside one
-actor call (the reference's sequential 100-page-PDF problem,
-``ocr_router.py:279-298``).
+Two physical plans over one extraction kernel (explode, per-kind
+extract, OCR) and one reassembly (``reassemble_sorted_block``):
 
-``auto_pipeline`` (and the resumable runner) take a bounded probe of
-the input (``choose_plan``) whose sample sizes the actor pool
-(``ocr_pool``).
+- ``fused_pipeline`` runs the kernel and the reassembly in ONE actor
+  call (``FusedExtractor``).  A document is one input row, so all of
+  its span rows come out of one call and no exchange is needed
+  (operator fusion).  Its skew unit is the batch: a media-heavy
+  document's OCR calls all run inside one actor call (the reference's
+  sequential 100-page-PDF problem, ``ocr_router.py:279-298``).
+- ``split_pipeline`` explodes documents in a task stage that fuses
+  with the read's validation map, cuts the span rows into fixed-size blocks
+  (``repartition(target_num_rows_per_block=k)``, a streaming map with
+  no barrier), extracts them on an actor pool (``SpanRowExtractor``),
+  and reassembles each document in one stateful fold actor
+  (``stages.reassemble.DocumentFold``) as soon as all of its rows are
+  back: a heavy document's spans spread over the pool.
+
+``choose_plan`` takes a bounded probe of the input: the modeled OCR
+time of its heaviest sampled document picks the plan, and the sample
+sizes the actor pool (``ocr_pool``).  ``auto_pipeline`` and the
+resumable runner make the same choice.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -26,7 +36,8 @@ from ..schema import SUMMARY_SCHEMA
 from ..stages.explode import explode_batch
 from ..stages.extract import extract_batch
 from ..stages.ocr import OcrModel
-from ..stages.reassemble import reassemble_sorted_block
+from ..stages.reassemble import (DocumentFold, reassemble_sorted_block,
+                                 tally_rows)
 
 _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
 # The pool rule's two costs, measured on a 4-CPU host (BASELINE.md r6):
@@ -37,6 +48,16 @@ _ACTOR_START_S = 0.25
 # Documents ``choose_plan`` reads from the head of the input (1-2 input
 # blocks, re-read by the main run — bounded cost at any corpus size).
 _SAMPLE_DOCS = 512
+# The split plan pays off once the heaviest sampled document's modeled
+# OCR time passes this (the crossover of the 4-CPU sweep in BASELINE.md
+# r6, "Span-split plan").
+_SPLIT_DOC_S = 2.0
+# The split plan's fold actor: light work (one reassembly per document),
+# but it holds CPU like any actor and counts against the clamp.
+_FOLD_CPUS = 0.25
+# Fewest span rows per split-plan block: each block is one actor task,
+# and a chain of operators dispatches a few tens of tasks per second.
+_SPLIT_MIN_ROWS = 64
 
 
 def _cluster_cpus() -> int:
@@ -54,6 +75,7 @@ class DocProbe(NamedTuple):
     docs: int           # documents in the sample
     exact: bool         # the sample is the whole input
     media_mean: float   # media spans per sampled document
+    media_max: int = 0  # media spans of the heaviest sampled document
 
 
 class OcrPool(NamedTuple):
@@ -61,7 +83,7 @@ class OcrPool(NamedTuple):
 
     actors: int
     num_cpus: float     # per actor
-    batch_size: int     # documents per actor call
+    batch_size: int     # documents (split plan: span rows) per actor call
 
     def map_kwargs(self) -> dict:
         """``map_batches`` arguments: a FIXED pool (min = max) with one
@@ -79,10 +101,15 @@ class OcrPool(NamedTuple):
         }
 
 
+def _span_ms(ocr_burn: int, ocr_latency_ms: float) -> float:
+    """Modeled OCR cost of one media span."""
+    return ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
+
+
 def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
              probe: DocProbe | None = None, cap: int | None = None,
              num_cpus: float | None = None, batch_size: int | None = None,
-             pipelines: int = 1) -> OcrPool:
+             pipelines: int = 1, plan: str = "fused") -> OcrPool:
     """The one sizing rule for the extraction actor pool.
 
     Footprint: latency-bound inference (GPU/remote model, the
@@ -93,16 +120,23 @@ def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     count, and the clamp always leaves one whole CPU for the read
     stage, split across ``pipelines`` running at once: a pool covering
     every core starves the stream and it deadlocks (measured at
-    num_cpus=4, round 4).
+    num_cpus=4, round 4).  The split plan's fold actor (``_FOLD_CPUS``)
+    comes out of each pipeline's share first: 12 span actors at 0.25
+    CPU plus the fold on 4 CPUs hung.
 
-    Size: when the probe counts the input exactly, each actor costs
-    ``_ACTOR_START_S`` and saves ``work / n``, so n = sqrt(work /
-    start) minimizes the pipeline's wall time; the batch shrinks to
-    give each actor one batch, and the pool never outnumbers its
-    batches.  An input of unknown size gets the cap.
+    Size: each actor costs ``_ACTOR_START_S`` and saves ``work / n``,
+    so n = sqrt(work / start) minimizes the pipeline's wall time.
+    Fused plan: when the probe counts the input exactly, the pool gets
+    n actors, the batch shrinks to give each actor one batch, and the
+    pool never outnumbers its batches; an input of unknown size gets
+    the cap.  Split plan: the sample's span work sizes the pool even
+    when the sample is not the whole input (a lower bound, so a long
+    input may want a larger ``cap``); the fold is one of the n actors,
+    and ``batch_size`` is span rows per block, enough to cut the
+    heaviest sampled document into one block per actor.
     """
     cpus = _cluster_cpus()
-    per_span_ms = ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
+    per_span_ms = _span_ms(ocr_burn, ocr_latency_ms)
     if ocr_latency_ms > ocr_burn * _BURN_MS_PER_ITER:
         # 3.5 actors per CPU, but at most 4 per CPU beyond the first
         auto_cap, auto_cpus, auto_bs = min((7 * cpus) // 2,
@@ -110,17 +144,25 @@ def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     else:
         auto_cap, auto_cpus, auto_bs = cpus - 1, 1, 64
     num_cpus = auto_cpus if num_cpus is None else num_cpus
-    batch_size = auto_bs if batch_size is None else batch_size
-    budget = int((cpus - 1) / (num_cpus * pipelines))
+    fold_cpus = _FOLD_CPUS if plan == "split" else 0.0
+    budget = int(((cpus - 1) / pipelines - fold_cpus) / num_cpus)
     actors = max(1, min(auto_cap if cap is None else cap, budget))
-    if probe is not None and probe.exact:
+    if probe is None:
+        return OcrPool(actors, num_cpus, batch_size or auto_bs)
+    work_s = probe.docs * (_DOC_MS + probe.media_mean * per_span_ms) / 1e3
+    best = math.ceil(math.sqrt(work_s / _ACTOR_START_S))
+    if plan == "split":
+        actors = max(1, min(actors, best - 1))
+        if batch_size is None:
+            batch_size = max(_SPLIT_MIN_ROWS,
+                             math.ceil((probe.media_max + 1) / actors))
+    elif probe.exact:
         n_docs = probe.docs
-        work_s = n_docs * (_DOC_MS + probe.media_mean * per_span_ms) / 1e3
-        actors = max(1, min(actors,
-                            math.ceil(math.sqrt(work_s / _ACTOR_START_S))))
-        batch_size = max(1, min(batch_size, math.ceil(n_docs / actors)))
+        actors = max(1, min(actors, best))
+        batch_size = max(1, min(batch_size or auto_bs,
+                                math.ceil(n_docs / actors)))
         actors = max(1, min(actors, math.ceil(n_docs / batch_size)))
-    return OcrPool(actors, num_cpus, batch_size)
+    return OcrPool(actors, num_cpus, batch_size or auto_bs)
 
 
 class SpanExtractor:
@@ -169,6 +211,13 @@ class FusedExtractor(SpanExtractor):
         return out if self.with_stats else out.select(["doc_id", "spans"])
 
 
+def _ocr_kwargs(*, ocr_burn, ocr_latency_ms, policy, media_store, model,
+                metrics_sink, metrics_tag) -> dict:
+    return dict(burn_iters=ocr_burn, latency_ms=ocr_latency_ms,
+                policy=policy, media_store=media_store, model=model,
+                metrics_sink=metrics_sink, metrics_tag=metrics_tag)
+
+
 def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                    batch_size: int | None = None,
                    concurrency: int | None = None,
@@ -187,31 +236,99 @@ def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
         zero_copy_batch=True,
         fn_constructor_kwargs=dict(
             with_stats=with_stats, offset_range=offset_range,
-            burn_iters=ocr_burn, latency_ms=ocr_latency_ms, policy=policy,
-            media_store=media_store, model=model,
-            metrics_sink=metrics_sink, metrics_tag=metrics_tag),
+            **_ocr_kwargs(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+                          policy=policy, media_store=media_store,
+                          model=model, metrics_sink=metrics_sink,
+                          metrics_tag=metrics_tag)),
         **pool.map_kwargs(),
     )
 
 
+class SpanRowExtractor:
+    """The split plan's actor stage: per-kind extract + OCR over stamped
+    span rows (``explode_batch(stamp=True)``), plus one tally row per
+    document the call saw (``stages.reassemble.tally_rows``).  Extraction
+    changes row counts (HTML/PDF fan-out, empty text dropped, ``multi``
+    OCR fan-out), so the fold counts consumed INPUT rows, never output
+    rows."""
+
+    def __init__(self, **ocr_kwargs):
+        self._ocr = OcrModel(**ocr_kwargs)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([self._ocr(extract_batch(batch)),
+                                 tally_rows(batch)],
+                                promote_options="default")
+
+
+def split_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
+                   batch_size: int | None = None,
+                   concurrency: int | None = None,
+                   policy: str = "text", offset_range=None,
+                   media_store=None, with_stats: bool = False, model=None,
+                   metrics_sink=None, metrics_tag=None,
+                   probe: DocProbe | None = None):
+    """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA
+    [+stats]) with a media-heavy document spread over the pool:
+    explode (a task stage that fuses with the read's validation map),
+    span rows cut into
+    ``batch_size``-row blocks (``StreamingRepartition``), a
+    ``SpanRowExtractor`` actor stage on the pool ``ocr_pool`` sizes
+    (capped at ``concurrency``), and one ``DocumentFold`` actor.  Output
+    comes in completion order, not input order.  ``doc_id`` must be
+    unique across the input; a repeat raises ``ValueError``."""
+    import ray.data
+
+    pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+                    probe=probe, cap=concurrency, batch_size=batch_size,
+                    plan="split")
+    spans = docs.map_batches(
+        explode_batch, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs=dict(offset_range=offset_range, stamp=True),
+    ).repartition(target_num_rows_per_block=pool.batch_size)
+    spans = spans.map_batches(
+        SpanRowExtractor,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        fn_constructor_kwargs=_ocr_kwargs(
+            ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms, policy=policy,
+            media_store=media_store, model=model,
+            metrics_sink=metrics_sink, metrics_tag=metrics_tag),
+        **pool.map_kwargs(),
+    )
+    return spans.map_batches(
+        DocumentFold,
+        batch_format="pyarrow",
+        batch_size=None,
+        fn_constructor_kwargs=dict(with_stats=with_stats),
+        compute=ray.data.ActorPoolStrategy(size=1),
+        num_cpus=_FOLD_CPUS,
+        max_restarts=0,
+    )
+
+
+PLANS = {"fused": fused_pipeline, "split": split_pipeline}
+
+
 def check_plan(plan: str | None) -> None:
-    """``None``, ``"auto"`` and ``"fused"`` all name the one plan; any
-    other name (``"canonical"`` included) is a removed plan."""
-    if plan not in (None, "auto", "fused"):
+    """``None`` and ``"auto"`` let the probe choose; ``"fused"`` and
+    ``"split"`` name a plan; any other name (``"canonical"`` included)
+    is a removed plan."""
+    if plan not in (None, "auto", *PLANS):
         raise ValueError(
-            f"extraction plan {plan!r} was removed: 'fused' is the only "
-            "plan (pass None, 'auto' or 'fused')")
+            f"extraction plan {plan!r} was removed: the plans are "
+            "'fused' and 'split' (or pass None/'auto' to probe)")
 
 
-def choose_plan(docs, *, ocr_latency_ms: float = 0.0,
+def choose_plan(docs, *, ocr_latency_ms: float = 0.0, ocr_burn: int = 0,
                 with_probe: bool = False):
-    """Probe the first ``_SAMPLE_DOCS`` documents and return the plan,
-    always ``"fused"``.
+    """Probe the first ``_SAMPLE_DOCS`` documents and return the plan:
+    ``"split"`` when the heaviest sampled document's modeled OCR time
+    (media spans × per-span cost) passes ``_SPLIT_DOC_S``, else
+    ``"fused"``.
 
-    ``with_probe=True`` returns ``("fused", DocProbe)`` so the sample
-    sizes the actor pool (``ocr_pool``).  ``ocr_latency_ms`` does not
-    change the answer; it is accepted so a caller can pass the probe
-    the latency it passes ``auto_pipeline``.
+    ``with_probe=True`` returns ``(plan, DocProbe)`` so the sample sizes
+    the actor pool (``ocr_pool``).
     """
     try:
         sample = docs.limit(_SAMPLE_DOCS).take_batch(
@@ -222,14 +339,21 @@ def choose_plan(docs, *, ocr_latency_ms: float = 0.0,
         # dataset: nothing to probe.  Real read errors (corrupt
         # parquet, permissions) propagate.
         sample = None
-    n = media = 0
+    n = media = media_max = 0
     if sample is not None:
         spans = sample["spans"]
         n = len(spans)
-        kinds = pc.struct_field(pc.list_flatten(spans), "kind")
-        media = pc.sum(pc.equal(kinds, "media")).as_py() or 0
-    probe = DocProbe(n, n < _SAMPLE_DOCS, media / n if n else 0.0)
-    return ("fused", probe) if with_probe else "fused"
+        is_media = np.asarray(pc.equal(pc.struct_field(
+            pc.list_flatten(spans), "kind"), "media"))
+        per_doc = np.bincount(np.repeat(np.arange(n), np.asarray(
+            pc.list_value_length(spans).fill_null(0))),
+            weights=is_media, minlength=n)
+        media = int(per_doc.sum())
+        media_max = int(per_doc.max()) if n else 0
+    probe = DocProbe(n, n < _SAMPLE_DOCS, media / n if n else 0.0, media_max)
+    heavy_s = media_max * _span_ms(ocr_burn, ocr_latency_ms) / 1e3
+    plan = "split" if heavy_s > _SPLIT_DOC_S else "fused"
+    return (plan, probe) if with_probe else plan
 
 
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
@@ -237,21 +361,24 @@ def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                   ocr_concurrency: int | None = None,
                   with_stats: bool = False,
                   plan: str | None = None, model=None):
-    """The engine's default: probe the input, then run the fused plan
-    on a pool sized from the probe's sample.  Returns (plan_name, ds).
-    ``plan`` is checked by ``check_plan``; with ``plan="fused"`` there
-    is no probe and the pool gets its cap.
+    """The engine's default: probe the input, then run the plan the
+    probe picks on a pool sized from its sample.  Returns (plan_name,
+    ds).  ``plan`` is checked by ``check_plan``; ``"split"`` still
+    probes (the heaviest document sets its block size), ``"fused"``
+    does not and its pool gets the cap.
     """
     check_plan(plan)
     probe = None
-    if plan in (None, "auto"):
-        plan, probe = choose_plan(docs, with_probe=True)
-    return plan, fused_pipeline(docs, ocr_burn=ocr_burn,
-                                ocr_latency_ms=ocr_latency_ms,
-                                policy=policy, offset_range=offset_range,
-                                concurrency=ocr_concurrency,
-                                with_stats=with_stats, model=model,
-                                probe=probe)
+    if plan != "fused":
+        chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
+                                    ocr_burn=ocr_burn, with_probe=True)
+        plan = plan if plan == "split" else chosen
+    return plan, PLANS[plan](docs, ocr_burn=ocr_burn,
+                             ocr_latency_ms=ocr_latency_ms,
+                             policy=policy, offset_range=offset_range,
+                             concurrency=ocr_concurrency,
+                             with_stats=with_stats, model=model,
+                             probe=probe)
 
 
 def summary_table(extracted_with_stats):

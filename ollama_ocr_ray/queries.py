@@ -372,7 +372,7 @@ def q_pca_gate(sf_dir: str):
 
 def q_extract_canonical(sf_dir: str):
     """The flagship extraction (``auto_pipeline``: bounded probe, then
-    the one plan on a probe-sized pool, capped at 8 actors for
+    the plan it picks on a probe-sized pool, capped at 8 actors for
     test-scale corpora) as the per-document summary table."""
     from .pipelines.extract import auto_pipeline, summary_table
 

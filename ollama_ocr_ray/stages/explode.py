@@ -1,12 +1,17 @@
 """Span explode: documents rows → one row per span.
 
-The first step of the extraction kernel (``pipelines.extract.SpanExtractor``):
-each document is decomposed to span rows so the per-kind extractors and
-OCR run vectorized over a whole batch.  All span rows of a document stay
-in the actor call that exploded it (the reference's 100-page-PDF-in-line
-problem, ``ocr_router.py:279-298``, is not split across actors); the
+The first step of the extraction kernel: each document is decomposed to
+span rows so the per-kind extractors and OCR run vectorized over a whole
+batch.  On the fused plan (``pipelines.extract.SpanExtractor``) all span
+rows of a document stay in the actor call that exploded it, and the
 (offset, sub) keys assigned here let ``reassemble_sorted_block`` restore
-the exact sequence inside the same call (``FusedExtractor``).
+the exact sequence inside the same call (``FusedExtractor``).  On the
+split plan explode is a task stage of its own: ``stamp=True`` adds each
+document's row count (``doc_rows``), the rows are cut into fixed-size
+blocks, so a media-heavy document's spans (the reference's
+100-page-PDF-in-line problem, ``ocr_router.py:279-298``) spread over
+the actor pool, and ``stages.reassemble.DocumentFold`` uses the stamp to
+tell when every row of a document has come back.
 
 A sentinel row (kind='__doc__', offset=-1) is emitted per document so
 documents whose spans all extract to nothing still appear (with an empty
@@ -32,7 +37,8 @@ EXPLODED_SCHEMA = pa.schema(
 )
 
 
-def explode_batch(batch: pa.Table, offset_range=None) -> pa.Table:
+def explode_batch(batch: pa.Table, offset_range=None,
+                  stamp: bool = False) -> pa.Table:
     """``offset_range=(lo, hi)`` keeps only spans with lo <= offset < hi —
     the span-level analog of the reference's --page N selection
     (``ollama_cloud_ocr.py:689-690,722-731``), applied as a vectorized
@@ -41,7 +47,10 @@ def explode_batch(batch: pa.Table, offset_range=None) -> pa.Table:
     The output ``offset`` of a kept span is its rank in its document by
     (input offset, position in the span list).  Spans that share an
     input offset so keep their input order, as in the oracle's stable
-    sort, whatever order the per-kind extraction emits them in."""
+    sort, whatever order the per-kind extraction emits them in.
+
+    ``stamp=True`` appends ``doc_rows``: the number of rows this call
+    emits for the row's document, its sentinel included."""
     batch = batch.combine_chunks()
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
@@ -82,4 +91,9 @@ def explode_batch(batch: pa.Table, offset_range=None) -> pa.Table:
             "media_ref": pa.array([""] * n_docs),
         }
     ).cast(EXPLODED_SCHEMA)
-    return pa.concat_tables([sentinels, exploded])
+    out = pa.concat_tables([sentinels, exploded])
+    if stamp:
+        rows = np.bincount(parent, minlength=n_docs) + 1
+        out = out.append_column("doc_rows", pa.array(
+            np.concatenate([rows, rows[parent]]).astype(np.int32)))
+    return out

@@ -4,11 +4,11 @@ Engine analog of ``TrOCREngine`` (``/root/reference/ocr_router.py:31-46``):
 the reference constructs the model once for a whole batch run
 (``ocr_router.py:388-389``) and threads it through every call; here the
 model loads once per actor in ``__init__`` and ``__call__`` transcribes a
-whole Arrow batch of span rows.  The extraction stage runs it inside
-one actor call after explode and extract
-(``pipelines.extract.SpanExtractor``; ``FusedExtractor`` adds the
-block-local reassembly), on the pool ``pipelines.extract.ocr_pool``
-sizes.
+whole Arrow batch of span rows.  Both extraction plans run it inside
+one actor call after extract, on the pool ``pipelines.extract.ocr_pool``
+sizes: the fused plan after explode too (``SpanExtractor``;
+``FusedExtractor`` adds the block-local reassembly), the split plan on
+fixed-size blocks of span rows (``SpanRowExtractor``).
 
 The sandbox has no vision model, so the "model" is the deterministic
 transcription contract of ``spec.mock_transcript`` plus two

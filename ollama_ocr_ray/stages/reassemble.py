@@ -5,10 +5,12 @@ sort by (offset, sub), drop the document sentinel, assign a dense
 0-based ``order`` — generalizing the reference's page-order reassembly
 (``ocr_router.py:279,294,301``) to batched execution: order is derived
 from keys assigned at explode, never from the order the per-kind
-extractors emit rows in.  The extraction stage
+extractors emit rows in.  The fused plan's extraction stage
 (``pipelines.extract.FusedExtractor``) runs it inside the actor call on
 the span rows of one input batch, which hold every span of their
-documents.
+documents.  The split plan spreads a document's span rows over many
+actor calls; ``DocumentFold`` collects them by count and runs it once a
+document's rows are all back.
 
 Besides the contract columns (doc_id, spans) each output row carries the
 per-document metrics the reference put in its CSV summary row
@@ -25,6 +27,10 @@ import pyarrow.compute as pc
 
 from ..schema import OUT_SPAN_STRUCT
 from .explode import DOC_SENTINEL
+
+# kind of a split-plan tally row: one actor call consumed ``rows`` of the
+# ``doc_rows`` rows ``explode_batch(stamp=True)`` made for a document
+TALLY = "__rows__"
 
 REASSEMBLED_SCHEMA = pa.schema(
     [
@@ -129,3 +135,93 @@ def reassemble_sorted_block(batch: pa.Table) -> pa.Table:
             "ocr_ms": pa.array(ocr_ms, type=pa.float64()),
         }
     ).cast(REASSEMBLED_SCHEMA)
+
+
+def tally_rows(batch: pa.Table) -> pa.Table:
+    """One tally row per document of ``batch`` (stamped span rows, one
+    split-plan actor call's input): ``rows`` is how many of the
+    document's rows the call consumed, ``doc_rows`` their stamp.  A
+    doc_id whose rows carry two stamps names two documents: refused."""
+    g = batch.select(["doc_id", "doc_rows"]).group_by("doc_id").aggregate(
+        [("doc_rows", "count"), ("doc_rows", "min"), ("doc_rows", "max")])
+    clash = pc.not_equal(g.column("doc_rows_min"), g.column("doc_rows_max"))
+    if pc.any(clash).as_py():
+        raise _repeated(g.column("doc_id").filter(clash)[0].as_py())
+    n = g.num_rows
+    zeros = np.zeros(n, dtype=np.int32)
+    return pa.table({
+        "doc_id": g.column("doc_id"),
+        "offset": pa.array(zeros - 1),
+        "sub": pa.array(zeros),
+        "kind": pa.array([TALLY] * n, type=pa.string()),
+        "text": pa.array([""] * n, type=pa.string()),
+        "media_ref": pa.array([""] * n, type=pa.string()),
+        "rows": g.column("doc_rows_count").cast(pa.int32()),
+        "doc_rows": g.column("doc_rows_min"),
+    })
+
+
+def _repeated(doc_id) -> ValueError:
+    return ValueError(
+        f"duplicate doc_id {doc_id!r}: more span rows arrived for it than "
+        "its document has (the input repeats this doc_id, or a retried "
+        "task delivered rows twice); doc_id must be unique")
+
+
+class DocumentFold:
+    """The split plan's count-completion fold: ONE stateful actor that
+    takes span rows in any order and emits each document, through
+    ``reassemble_sorted_block``, as soon as the tally rows for it add
+    up to its stamp.
+
+    No exchange, no global order and no end-of-stream hook: the state
+    is a hash table of the documents in flight (their rows and counts),
+    plus the set of emitted ids (one string per document).  That set is
+    what refuses a doc_id
+    repeated anywhere in the input (or rows delivered twice): a count
+    past the stamp, two stamps for one id, or rows for an id already
+    emitted all raise ``ValueError`` naming it.  A document is only
+    ever emitted whole; one whose rows never all arrive is never
+    emitted (``state.runner`` refuses to commit a partition that lost
+    documents).  The actor must not restart (``max_restarts=0``): a
+    restarted fold has lost its table."""
+
+    def __init__(self, with_stats: bool = False):
+        self.with_stats = with_stats
+        self._open: dict[str, list] = {}  # doc_id -> [rows, stamp, tables]
+        self._emitted: set[str] = set()
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = batch.combine_chunks()
+        is_tally = pc.equal(batch.column("kind"), TALLY)
+        tallies = batch.filter(is_tally)
+        docs = tallies.column("doc_id").to_pylist()
+        for doc, n, stamp in zip(docs, tallies.column("rows").to_pylist(),
+                                 tallies.column("doc_rows").to_pylist()):
+            entry = self._open.get(doc)
+            if entry is None:
+                if doc in self._emitted:
+                    raise _repeated(doc)
+                entry = self._open[doc] = [0, stamp, []]
+            entry[0] += n
+            if entry[0] > entry[1] or stamp != entry[1]:
+                raise _repeated(doc)
+        rows = batch.filter(pc.invert(is_tally))
+        if len(rows):
+            rows = rows.take(pc.sort_indices(rows.column("doc_id")))
+            ids = rows.column("doc_id").combine_chunks()
+            n = len(ids)
+            starts = np.concatenate([[0], np.nonzero(np.asarray(pc.not_equal(
+                ids.slice(1), ids.slice(0, n - 1))))[0] + 1])
+            ends = np.append(starts[1:], n)
+            for doc, a, b in zip(ids.take(pa.array(starts)).to_pylist(),
+                                 starts.tolist(), ends.tolist()):
+                self._open[doc][2].append(rows.slice(a, b - a))
+        pieces = []
+        for doc in dict.fromkeys(docs):
+            if self._open[doc][0] == self._open[doc][1]:
+                pieces.extend(self._open.pop(doc)[2])
+                self._emitted.add(doc)
+        out = (reassemble_sorted_block(pa.concat_tables(pieces)) if pieces
+               else REASSEMBLED_SCHEMA.empty_table())
+        return out if self.with_stats else out.select(["doc_id", "spans"])

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..pipelines.extract import check_plan, fused_pipeline
+from ..pipelines.extract import PLANS, check_plan
 from ..sources.io import (list_input_files, read_documents,
                           read_documents_files, write_extracted)
 from .manifest import (Manifest, done_record, fingerprint,
@@ -95,20 +95,20 @@ def _run_partition(
     model=None,
     metrics_sink=None,
     probe=None,
+    plan: str = "fused",
 ) -> dict:
     ds = read_documents_files([input_file])
+    n_in = None
+    if input_file.endswith(".parquet"):
+        import pyarrow.parquet as pq
+
+        n_in = pq.ParquetFile(input_file).metadata.num_rows
     if probe is not None:
         # the job's media-per-doc sample, scaled to this partition's
         # exact doc count when its footer says it (parquet)
-        if input_file.endswith(".parquet"):
-            import pyarrow.parquet as pq
-
-            probe = probe._replace(
-                docs=pq.ParquetFile(input_file).metadata.num_rows,
-                exact=True)
-        else:
-            probe = probe._replace(exact=False)
-    out = fused_pipeline(
+        probe = (probe._replace(docs=n_in, exact=True) if n_in is not None
+                 else probe._replace(exact=False))
+    out = PLANS[plan](
         ds, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
         concurrency=ocr_concurrency, policy=policy, with_stats=True,
         model=model, metrics_sink=metrics_sink, metrics_tag=pid,
@@ -128,6 +128,11 @@ def _run_partition(
         "input_fingerprint": partition_fingerprint(input_file),
         **_partition_metrics(tmp_dir),
     }
+    if n_in is not None and record["docs"] != n_in:
+        # every input document has an output row (an empty span list at
+        # least); a missing one was lost, never commit it as done
+        raise RuntimeError(f"partition {pid} ({input_file}): extracted "
+                           f"{record['docs']} of {n_in} documents")
     if metrics_sink is not None:
         # drain THIS partition's actor resource samples (the write +
         # metrics read above give in-flight fire-and-forget pushes time
@@ -626,8 +631,12 @@ def run_extract(
     fixed actor pool sized by ``ocr_pool`` from its doc count and the
     job's probe, capped at ``ocr_concurrency`` actors and at its share
     of the cluster among the ``wave`` partitions running at once.
-    ``plan`` is checked by ``pipelines.extract.check_plan``; the
-    summary reports the one plan, ``"fused"``.
+    ``plan`` is checked by ``pipelines.extract.check_plan``; ``"auto"``
+    (or ``None``) takes the plan ``choose_plan`` picks from a sample of
+    the first input file, and the summary reports the plan that ran
+    (the one asked for when no partition was pending).  A partition
+    whose output holds fewer documents than its parquet input is not
+    committed: the run raises.
     """
     check_plan(plan)
     files = list_input_files(input_path)
@@ -646,14 +655,17 @@ def run_extract(
         pending = pending[:max_partitions]
     probe = None
     if pending:
-        # one probe per job: its sample sizes every partition's pool
+        # one probe per job: it picks the plan (as ``auto_pipeline``
+        # does) and its sample sizes every partition's pool
         from ..pipelines import extract as px
 
-        _, probe = px.choose_plan(read_documents_files([files[0]]),
-                                  with_probe=True)
+        chosen, probe = px.choose_plan(read_documents_files([files[0]]),
+                                       ocr_latency_ms=ocr_latency_ms,
+                                       ocr_burn=ocr_burn, with_probe=True)
+        plan = plan if plan in px.PLANS else chosen
         ocr_concurrency = px.ocr_pool(
             ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-            cap=ocr_concurrency,
+            cap=ocr_concurrency, plan=plan,
             pipelines=max(1, min(wave, len(pending)))).actors
     # one zero-CPU metrics sink per job: every OCR actor pushes one
     # resource sample per batch, drained per partition at commit
@@ -661,6 +673,7 @@ def run_extract(
 
     metrics_sink = make_sink() if pending else None
     kwargs = dict(
+        plan=plan,
         ocr_burn=ocr_burn,
         ocr_latency_ms=ocr_latency_ms,
         ocr_concurrency=ocr_concurrency,
@@ -692,7 +705,7 @@ def run_extract(
         "docs": sum(r["docs"] for r in done),
         "spans_out": sum(r["spans_out"] for r in done),
         "errors": sum(r["errors"] for r in done),
-        "plan": "fused",
+        "plan": plan,
         "output_dir": output_dir,
     }
 

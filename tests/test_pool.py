@@ -79,6 +79,39 @@ def test_clamp_leaves_one_cpu_free(cpus):
                     assert pool.actors == 1  # the floor: one actor
 
 
+def test_split_pool_and_fold_fit_the_clamp(cpus):
+    """The split plan's span pool plus its fold actor never take more
+    than the CPUs but one, for any share of pipelines that can fit one
+    span actor and the fold."""
+    for n in (2, 3, 4, 8, 32):
+        cpus(n)
+        for num_cpus in (0.25, 0.5, 1):
+            for pipelines in (1, 2, 4):
+                pool = ocr_pool(probe=_probe(10**6), cap=10**6,
+                                num_cpus=num_cpus, pipelines=pipelines,
+                                plan="split", **LATENCY)
+                used = pipelines * (pool.actors * num_cpus + px._FOLD_CPUS)
+                if pipelines * (num_cpus + px._FOLD_CPUS) <= n - 1:
+                    assert used <= n - 1, (n, num_cpus, pipelines, pool)
+                else:
+                    assert pool.actors == 1
+
+
+def test_split_pool_is_sized_from_the_samples_span_work(cpus):
+    """The benchmark's skew corpus: a 512-doc sample of a longer input
+    (not exact) with one 260-media document at 20 ms.  The pool comes
+    from the sample's work, not the cap, the fold is one of its actors,
+    and a block holds a quarter of the heavy document's rows."""
+    cpus(4)
+    probe = DocProbe(512, False, 263 / 512, 260)
+    pool = ocr_pool(probe=probe, ocr_latency_ms=20.0, plan="split")
+    assert (pool.actors, pool.num_cpus, pool.batch_size) == (4, 0.25, 66)
+    # light documents keep the block floor
+    light = ocr_pool(probe=probe._replace(media_max=3),
+                     ocr_latency_ms=20.0, plan="split")
+    assert light.batch_size == px._SPLIT_MIN_ROWS
+
+
 def test_cpu_bound_input_gets_a_cpu_per_actor(cpus):
     """Zero latency, CPU-bound OCR: one 1-CPU actor per CPU but one,
     never more than the input's batches."""
@@ -98,9 +131,9 @@ def test_map_kwargs_fix_the_pool_and_in_flight():
 
 
 def test_run_extract_spreads_one_file_over_actors(ray_session, tmp_path):
-    """A 256-doc latency-bound one-file job runs its batches on at least
-    two actors (distinct pids in the partition's resource samples) and
-    still matches the oracle."""
+    """A 256-doc latency-bound one-file job on the fused plan runs its
+    batches on at least two actors (distinct pids in the partition's
+    resource samples) and still matches the oracle."""
     import pyarrow.parquet as pq
 
     from ollama_ocr_ray import oracle, synth
@@ -112,7 +145,7 @@ def test_run_extract_spreads_one_file_over_actors(ray_session, tmp_path):
     corpus.mkdir()
     pq.write_table(table, str(corpus / "part-00000.parquet"))
     out = str(tmp_path / "out")
-    s = run_extract(str(corpus), out, plan="auto", ocr_latency_ms=20.0,
+    s = run_extract(str(corpus), out, plan="fused", ocr_latency_ms=20.0,
                     wave=1)
     assert s["plan"] == "fused" and s["docs"] == 256
     (rec,) = Manifest(out).records()
