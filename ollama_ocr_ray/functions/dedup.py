@@ -460,7 +460,6 @@ def simhash_dup_pairs(docs, *, max_hamming: int = 3, concurrency=None):
         key_cols=["band_id", "band_val"],
         fold=lambda b: _simhash_pairs_block(b, max_hamming),
         raw_schema=band_schema, out_schema=pair_schema,
-        op="simhash_dup_pairs",
     )
     return pairs.groupby(["a_id", "b_id"]).aggregate(
         Min("hamming", alias_name="hamming")
@@ -698,7 +697,6 @@ def _lsh_exact_pairs(docs, band_rows, shingle_set, threshold: float):
             band_rows.sort("bucket"), key_cols=["bucket"],
             fold=_bucket_candidate_pairs,
             raw_schema=band_schema, out_schema=cand_schema,
-            op="lsh_bucket_pairs",
         )
         .sort(["a_id", "b_id"])
         .map_batches(_first_pair_block, batch_size=None,
@@ -794,7 +792,6 @@ def _lsh_exact_pairs(docs, band_rows, shingle_set, threshold: float):
     halves = exact_segment_fold(
         keyed.sort("k"), key_cols=["k"], fold=attach_block,
         raw_schema=keyed_schema, out_schema=half_schema,
-        op="lsh_attach_text",
     )
 
     out_schema = pa.schema(
@@ -841,7 +838,6 @@ def _lsh_exact_pairs(docs, band_rows, shingle_set, threshold: float):
     return exact_segment_fold(
         halves.sort(["a_id", "b_id"]), key_cols=["a_id", "b_id"],
         fold=verify_block, raw_schema=half_schema, out_schema=out_schema,
-        op="lsh_verify_pairs",
     )
 
 
@@ -1153,7 +1149,6 @@ def dup_substring_stats(docs, *, k: int = 25, stride: int = 1):
     partials = exact_segment_fold(
         pairs.sort("h"), key_cols=["h"], fold=fold,
         raw_schema=raw_schema, out_schema=DUP_SUBSTR_SCHEMA,
-        op="dup_substring_stats",
     )
     from ray.data.aggregate import Sum
 
@@ -1266,7 +1261,6 @@ def common_line_droplist(docs, *, delim: str = "\n", min_len: int = 10,
     return exact_segment_fold(
         sorted_ds, key_cols=["line_hash"], fold=fold,
         raw_schema=raw_schema, out_schema=out_schema,
-        op="common_line_droplist",
     )
 
 
@@ -1418,7 +1412,6 @@ def dup_window_droplist(docs, *, k: int = 25, min_docs: int = 2):
     return exact_segment_fold(
         partials.sort("h"), key_cols=["h"], fold=fold,
         raw_schema=raw_schema, out_schema=out_schema,
-        op="dup_window_droplist",
     )
 
 

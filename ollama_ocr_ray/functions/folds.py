@@ -67,9 +67,6 @@ RESIDUAL_MAX_TASKS = 128
 # objects regardless of upstream block count.
 RESIDUAL_SPLIT_TASKS = 256
 
-# Back-compat alias (r4 name; the refusal semantics are gone).
-SEGMENT_FOLD_CAP = DRIVER_RESIDUAL_MAX
-
 
 def _key_partition_ids(table: pa.Table, key_cols: list[str],
                        nparts: int) -> np.ndarray:
@@ -162,22 +159,16 @@ def _fold_residual_distributed(res_mat, *, n_rows: int,
 
 def exact_segment_fold(sorted_ds, *, key_cols: list[str], fold,
                        raw_schema: pa.Schema, out_schema: pa.Schema,
-                       driver_max: int | None = None,
-                       cap: int | None = None,
-                       rows_per_task: int = RESIDUAL_ROWS_PER_TASK,
-                       op: str = "exact_segment_fold"):
+                       driver_max: int = DRIVER_RESIDUAL_MAX,
+                       rows_per_task: int = RESIDUAL_ROWS_PER_TASK):
     """Per-key-segment ``fold`` over a sorted Dataset, exact under
     equal-key block splits (module doc).  Returns a Dataset with
     ``out_schema`` rows.
 
-    ``driver_max`` (alias ``cap``, r4 name) bounds only the DRIVER
-    fast path; larger residuals run the distributed hash-partitioned
-    pass instead of refusing.
+    ``driver_max`` bounds only the DRIVER fast path; larger residuals
+    run the distributed hash-partitioned pass instead of refusing.
     """
     from .dedup import _segment_bounds
-
-    if driver_max is None:
-        driver_max = DRIVER_RESIDUAL_MAX if cap is None else cap
 
     mixed_schema = pa.schema(
         [(f.name, f.type) for f in out_schema]

@@ -41,7 +41,7 @@ from .folds import exact_segment_fold
 _DAMP_NUM, _DAMP_DEN = 85, 100
 
 
-def sum_by_key(ds, *, key: str, val: str, op: str = "sum_by_key"):
+def sum_by_key(ds, *, key: str, val: str):
     """Exact int64 sum of ``val`` per ``key``: per-block partials (one
     row per distinct in-block key) -> one sort -> segment-sum fold,
     exact under equal-key block splits via ``exact_segment_fold``."""
@@ -75,7 +75,7 @@ def sum_by_key(ds, *, key: str, val: str, op: str = "sum_by_key"):
                               zero_copy_batch=True)
     return exact_segment_fold(
         partials.sort(key), key_cols=[key], fold=fold,
-        raw_schema=schema, out_schema=schema, op=op,
+        raw_schema=schema, out_schema=schema,
     )
 
 
@@ -128,7 +128,7 @@ def _nodes_of(edges):
     return sum_by_key(
         edges.map_batches(endpoints, batch_format="pyarrow",
                           zero_copy_batch=True),
-        key="node", val="z", op="pagerank_nodes",
+        key="node", val="z",
     ).materialize()
 
 
@@ -243,7 +243,7 @@ def _pagerank_partitioned(edges, *, iters: int, scale: int,
     outdeg = sum_by_key(
         edges.map_batches(ones, batch_format="pyarrow",
                           zero_copy_batch=True),
-        key="src", val="deg", op="pagerank_outdeg",
+        key="src", val="deg",
     ).materialize()
 
     # bounded hot set: sorted arrays for vectorized lookup in tasks
@@ -374,7 +374,6 @@ def _pagerank_partitioned(edges, *, iters: int, scale: int,
                                       zero_copy_batch=True)
         in_sum = sum_by_key(
             contribs.union(nodes), key="node", val="z",
-            op="pagerank_sum",
         )
         ranks = in_sum.map_batches(rebase, batch_format="pyarrow",
                                    zero_copy_batch=True)

@@ -156,27 +156,15 @@ def dedup_keep_min(ann, empty_schema: pa.Schema | None = None):
     return closed.union(ray.data.from_arrow(merged))
 
 
-def prep_corpus(docs, *, quality_threshold: float = 0.01, concurrency=None):
+def prep_corpus(docs, *, quality_threshold: float = 0.01):
     """documents Dataset → annotated, quality-gated, exact-deduped
     corpus rows (doc_id, pred_lang, n_chars, quality_score,
     fingerprint): keep the minimum doc_id per surviving content
-    fingerprint.
-
-    By default the annotate stage runs as a TASK pool (the LangId
-    tables are tiny); pass ``concurrency`` to pin an actor pool when a
-    real language model replaces the marker heuristic.
-    """
-    if concurrency is None:
-        ann = docs.map_batches(
-            PrepAnnotate(quality_threshold), batch_format="pyarrow"
-        )
-    else:
-        ann = docs.map_batches(
-            PrepAnnotate,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            fn_constructor_kwargs={"quality_threshold": quality_threshold},
-        )
+    fingerprint.  The annotate stage runs as a TASK pool (the LangId
+    tables are tiny)."""
+    ann = docs.map_batches(
+        PrepAnnotate(quality_threshold), batch_format="pyarrow"
+    )
     return dedup_keep_min(ann)
 
 
@@ -224,7 +212,7 @@ class CurateAnnotate:
 
 def curate_corpus(docs, *, quality_threshold: float = 0.01,
                   max_top2gram_e4: int = 800, k: int = 20, seed: int = 0,
-                  fan_in: int = 64, concurrency=None):
+                  fan_in: int = 64):
     """End-to-end corpus curation: gate (quality + phrase repetition) →
     annotate → exact-dedup keep-min-doc_id → seeded stratified sample
     of k docs per predicted language.  The composed training-mix job:
@@ -235,17 +223,10 @@ def curate_corpus(docs, *, quality_threshold: float = 0.01,
     downstream export joins back against doc storage."""
     from .sampling import sample_stratified
 
-    ann_kwargs = {"quality_threshold": quality_threshold,
-                  "max_top2gram_e4": max_top2gram_e4}
-    if concurrency is None:
-        ann = docs.map_batches(
-            CurateAnnotate(**ann_kwargs), batch_format="pyarrow"
-        )
-    else:
-        ann = docs.map_batches(
-            CurateAnnotate, batch_format="pyarrow",
-            concurrency=concurrency, fn_constructor_kwargs=ann_kwargs,
-        )
+    ann = docs.map_batches(
+        CurateAnnotate(quality_threshold, max_top2gram_e4),
+        batch_format="pyarrow",
+    )
     deduped = dedup_keep_min(ann)
     return sample_stratified(deduped, stratum_col="pred_lang", k=k,
                              seed=seed, fan_in=fan_in)

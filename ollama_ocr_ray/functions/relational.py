@@ -86,53 +86,6 @@ def pricing_summary(lineitem):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def segment_revenue(orders, customer_lookup: dict):
-    """orders ⋈ customer (broadcast) → per-market-segment totals.
-
-    ``customer_lookup`` (custkey → mktsegment) is the small side: built
-    once driver-side, shipped to tasks via closure capture (Ray stores
-    it once in the object store; real clusters would ray.put it) — no
-    shuffle join.
-    """
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        cust = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        seg = np.array([customer_lookup.get(int(c), "UNKNOWN") for c in cust],
-                       dtype=object)
-        t = pa.table(
-            {
-                "c_mktsegment": pa.array(seg, type=pa.string()),
-                "price_cents": _cents(batch.column("o_totalprice")),
-                "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            }
-        )
-        return t.group_by("c_mktsegment").aggregate(
-            [("price_cents", "sum"), ("one", "sum")]
-        )
-
-    partials = orders.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("c_mktsegment").aggregate(
-        Sum("price_cents_sum", alias_name="cents"),
-        Sum("one_sum", alias_name="n_orders"),
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        return pa.table(
-            {
-                "c_mktsegment": batch.column("c_mktsegment"),
-                "n_orders": batch.column("n_orders").cast(pa.int64()),
-                "total_revenue": pa.array(
-                    batch.column("cents").to_numpy(zero_copy_only=False) / 100.0
-                ),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
-
-
 def top_docs_by_len(docs, k: int = 100):
     """Top-k documents by n_chars (desc), doc_id tie-break — a
     distributed sort + limit (Ray samples a boundary partitioning, only
@@ -1063,13 +1016,12 @@ def events_sliding(events, window_minutes: int = 60, slide_minutes: int = 15):
 def segment_revenue_join(orders, customer):
     """Per-market-segment order totals with NO driver-side customer
     state (VERDICT r3 #1: customer is fact-proportional — TPC-H 150k
-    rows x SF — so the ``segment_revenue`` broadcast dict stops scaling
-    at 100 TB).  Plan: per-batch pre-aggregate orders to (custkey,
-    cents, n) partials, co-partition them with customer's (custkey,
-    segment) via ``hash_join`` (one sort exchange over partial rows +
-    two key columns), then a tiny per-segment groupby.  Inner-join
-    semantics match the SQL oracle; keep the broadcast variant for
-    genuinely small dimensions (nation/region/supplier)."""
+    rows x SF — so a driver-side broadcast dict stops scaling at 100
+    TB).  Plan: per-batch pre-aggregate orders to (custkey, cents, n)
+    partials, co-partition them with customer's (custkey, segment) via
+    ``hash_join`` (one sort exchange over partial rows + two key
+    columns), then a tiny per-segment groupby.  Inner-join semantics
+    match the SQL oracle."""
     from ray.data.aggregate import Sum
 
     def order_partial(batch: pa.Table) -> pa.Table:
@@ -1323,7 +1275,7 @@ def hash_join(left, right, *, key: str, left_cols: list[str],
     both sides into one aligned schema, ONE sort exchange on the key,
     then a vectorized per-block merge (cross product inside each key
     segment).  This is the fact-x-fact join primitive the broadcast
-    joins (``segment_revenue``, ``top_suppliers``) cannot cover — at
+    joins (``top_suppliers``) cannot cover — at
     100 TB neither side fits a driver dict.
 
     Partitioning (round-4 hardening): the merge runs through
@@ -1484,7 +1436,7 @@ def hash_join(left, right, *, key: str, left_cols: list[str],
     return exact_segment_fold(
         _maybe_guard_sorted(tagged.sort(["__k", "__s"]), ["__k", "__s"]),
         key_cols=["__k", "__s"], fold=merge_block,
-        raw_schema=tagged_schema, out_schema=out_schema, op="hash_join",
+        raw_schema=tagged_schema, out_schema=out_schema,
     )
 
 
@@ -1556,7 +1508,7 @@ def anti_join(left, right, *, key: str, left_cols: list[str]):
     return exact_segment_fold(
         _maybe_guard_sorted(tagged.sort("__k"), ["__k"]),
         key_cols=["__k"], fold=merge_block,
-        raw_schema=tagged_schema, out_schema=out_schema, op="anti_join",
+        raw_schema=tagged_schema, out_schema=out_schema,
     )
 
 

@@ -199,7 +199,7 @@ def cap_per_group(ds, *, group_col: str, order_cols: list[str],
     return exact_segment_fold(
         pruned.sort(sort_cols, descending=sort_desc),
         key_cols=[group_col], fold=fold,
-        raw_schema=row_schema, out_schema=row_schema, op="cap_per_group",
+        raw_schema=row_schema, out_schema=row_schema,
     )
 
 

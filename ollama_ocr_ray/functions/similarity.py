@@ -218,11 +218,11 @@ def knn_join(embeddings, *, k: int = 5, n_blocks: int = 8):
              ("embedding",
               embeddings.schema().base_schema.field("embedding").type)]
         ),
-        out_schema=part_schema, op="knn_join_groups",
+        out_schema=part_schema,
     )
     return exact_segment_fold(
         partials.sort("q_id"), key_cols=["q_id"], fold=merge_topk,
-        raw_schema=part_schema, out_schema=out_schema, op="knn_join_merge",
+        raw_schema=part_schema, out_schema=out_schema,
     )
 
 
@@ -468,7 +468,6 @@ def embedding_near_dup_blocked(embeddings, threshold: float,
         ).sort("pair"),
         key_cols=["pair"], fold=group_pairs,
         raw_schema=rep_schema, out_schema=out_schema,
-        op="embedding_near_dup_blocked",
     )
 
 
@@ -555,7 +554,6 @@ def embedding_near_dup_lsh(embeddings, threshold: float, dim: int,
         ).sort("bucket"),
         key_cols=["bucket"], fold=bucket_pairs,
         raw_schema=bucket_schema, out_schema=out_schema,
-        op="embedding_near_dup_lsh",
     )
     return pairs.groupby(["a_id", "b_id"]).aggregate(
         Max("sim", alias_name="sim")
@@ -720,5 +718,4 @@ def semdedup_pairs_clustered(embeddings, *, threshold: float,
     return exact_segment_fold(
         rows.sort("cluster"), key_cols=["cluster"], fold=fold,
         raw_schema=raw_schema, out_schema=out_schema,
-        op="semdedup_pairs_clustered",
     )

@@ -108,8 +108,8 @@ def _span_ms(ocr_burn: int, ocr_latency_ms: float) -> float:
 
 def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
              probe: DocProbe | None = None, cap: int | None = None,
-             num_cpus: float | None = None, batch_size: int | None = None,
-             pipelines: int = 1, plan: str = "fused") -> OcrPool:
+             batch_size: int | None = None, pipelines: int = 1,
+             plan: str = "fused") -> OcrPool:
     """The one sizing rule for the extraction actor pool.
 
     Footprint: latency-bound inference (GPU/remote model, the
@@ -139,11 +139,10 @@ def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     per_span_ms = _span_ms(ocr_burn, ocr_latency_ms)
     if ocr_latency_ms > ocr_burn * _BURN_MS_PER_ITER:
         # 3.5 actors per CPU, but at most 4 per CPU beyond the first
-        auto_cap, auto_cpus, auto_bs = min((7 * cpus) // 2,
-                                           4 * (cpus - 1)), 0.25, 128
+        auto_cap, num_cpus, auto_bs = min((7 * cpus) // 2,
+                                          4 * (cpus - 1)), 0.25, 128
     else:
-        auto_cap, auto_cpus, auto_bs = cpus - 1, 1, 64
-    num_cpus = auto_cpus if num_cpus is None else num_cpus
+        auto_cap, num_cpus, auto_bs = cpus - 1, 1, 64
     fold_cpus = _FOLD_CPUS if plan == "split" else 0.0
     budget = int(((cpus - 1) / pipelines - fold_cpus) / num_cpus)
     actors = max(1, min(auto_cap if cap is None else cap, budget))
@@ -363,16 +362,14 @@ def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                   plan: str | None = None, model=None):
     """The engine's default: probe the input, then run the plan the
     probe picks on a pool sized from its sample.  Returns (plan_name,
-    ds).  ``plan`` is checked by ``check_plan``; ``"split"`` still
-    probes (the heaviest document sets its block size), ``"fused"``
-    does not and its pool gets the cap.
+    ds).  ``plan`` is checked by ``check_plan``; a plan name overrides
+    only the probe's choice, and the sample still sizes the pool (as in
+    ``state.runner.run_extract``).
     """
     check_plan(plan)
-    probe = None
-    if plan != "fused":
-        chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
-                                    ocr_burn=ocr_burn, with_probe=True)
-        plan = plan if plan == "split" else chosen
+    chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
+                                ocr_burn=ocr_burn, with_probe=True)
+    plan = plan if plan in PLANS else chosen
     return plan, PLANS[plan](docs, ocr_burn=ocr_burn,
                              ocr_latency_ms=ocr_latency_ms,
                              policy=policy, offset_range=offset_range,

@@ -169,9 +169,7 @@ def q_pricing_summary(sf_dir: str):
 
 def q_segment_revenue(sf_dir: str):
     """Co-partitioned plan (VERDICT r3 #1): customer is a
-    fact-proportional table, so no driver-side dict — the broadcast
-    variant (relational.segment_revenue) stays for true small
-    dimensions like nation/region."""
+    fact-proportional table, so no driver-side dict."""
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     return relational.segment_revenue_join(orders, cust)
@@ -517,7 +515,7 @@ def _digest_parity(a_ds, b_ds, key: str = "doc_id") -> pa.Table:
     )
     mism = exact_segment_fold(
         both.sort("doc_id"), key_cols=["doc_id"], fold=mismatch_block,
-        raw_schema=tag_schema, out_schema=out_schema, op="digest_parity",
+        raw_schema=tag_schema, out_schema=out_schema,
     )
     # materialize the expected-empty diagnostic as an arrow Table so
     # the empty case still carries its schema — an empty Dataset

@@ -138,6 +138,13 @@ class Manifest:
         return done_record(self._rec_path(pid), "input_fingerprint",
                            fingerprint, self.part_dir(pid)) is not None
 
+    def pending(self, keys: dict[int, str],
+                limit: int | None = None) -> list[int]:
+        """The partitions of ``keys`` (``{pid: input_fingerprint}``) not
+        done, in ``keys`` order, at most ``limit`` of them."""
+        return [pid for pid, key in keys.items()
+                if not self.is_done(pid, key)][:limit]
+
     def stage(self, pid: int) -> str:
         return stage(self.part_dir(pid))
 

@@ -2,30 +2,35 @@
 ingest).
 
 Partition unit = one input data file of the documents table (a shard
-for the export's pack phase).  Every unit commits through the one
-protocol in ``state/manifest.py`` (clean, write to ``_tmp-*``, rename,
-then the keyed record), and a killed run resumes by fingerprint-matching
-the records, redoing only missing units (SURVEY.md §4.3).
+for the export's pack phase).  Every partitioned job runs one way:
+``Manifest.pending`` selects the partitions whose record does not match
+the input's fingerprint (at most ``max_partitions`` of them), each runs
+as one ``concurrent.futures.Future``, and ``_commit_each`` commits each
+partition on the driver as it finishes, through the one protocol in
+``state/manifest.py`` (clean, write to ``_tmp-*``, rename, then the
+keyed record).  A failed partition does not stop the others: all
+failures raise together once the rest have committed, and a rerun
+redoes only what is missing (SURVEY.md §4.3).
 
-Two execution shapes, chosen by what the per-partition work needs:
+What a partition's future runs depends on the work:
 
-- **extract** (``run_extract``): each partition runs the extraction
-  pipeline as its own internally-parallel Dataset execution (one
-  actor-pool stage that extracts and reassembles each batch of
-  documents); ``wave`` partitions run concurrently so the cluster
-  stays saturated.
-- **prep / curate annotate, export pack** (``_run_tasks``): the
-  per-partition work is a map-only pass whose parallelism unit IS the
-  partition, so each runs as ONE plain Ray task (streaming parquet read
-  inside the task) — per-partition Dataset executors measurably
-  anti-scale on many-small-file inputs (BASELINE.md r3 'annotate
-  phase').
+- **extract** (``run_extract``): a thread runs the partition's
+  extraction pipeline as its own internally-parallel Dataset execution
+  (one actor-pool stage that extracts and reassembles each batch of
+  documents); ``wave`` partitions run at once so the cluster stays
+  saturated.
+- **prep / curate annotate, export pack**: the per-partition work is a
+  map-only pass whose parallelism unit IS the partition, so each runs
+  as ONE plain Ray task (``_map_parquet_stream`` inside the task) and
+  its ``ObjectRef.future()`` is the partition's future — per-partition
+  Dataset executors measurably anti-scale on many-small-file inputs
+  (BASELINE.md r3 'annotate phase').
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
@@ -35,6 +40,52 @@ from ..sources.io import (list_input_files, read_documents,
 from .manifest import (Manifest, done_record, fingerprint,
                        partition_fingerprint, publish_dir, read_record,
                        stage, write_record)
+
+
+def _input_files(path: str, what: str = "input data files") -> list[str]:
+    files = list_input_files(path)
+    if not files:
+        raise FileNotFoundError(f"no {what} under {path}")
+    return files
+
+
+def _commit_each(job: str, manifest: Manifest, futures: dict,
+                 make_record=lambda pid, result: result) -> list[dict]:
+    """The partition loop of every partitioned job.  ``futures`` maps
+    each partition's ``Future`` to its ``(pid, source)``; as each one
+    finishes, its partition commits on the DRIVER with the record
+    ``make_record(pid, result)``, so the manifest stays single-writer.
+    A failed partition does not stop the others from committing; once
+    all have finished, every failure raises together as one
+    ``RuntimeError`` chained to the first.  Returns the committed
+    records."""
+    records, failures = [], []
+    for fut in as_completed(futures):
+        pid, source = futures[fut]
+        try:
+            record = make_record(pid, fut.result())
+        except Exception as e:  # noqa: BLE001 - commit the rest
+            failures.append((source, e))
+            continue
+        manifest.commit(pid, record)
+        records.append(record)
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)} {job} partition(s) failed "
+            f"(others committed; rerun resumes): "
+            + "; ".join(f"{name}: {e}" for name, e in failures[:5])
+        ) from failures[0][1]
+    return records
+
+
+def _task_futures(fn, manifest: Manifest, sources: dict, *args) -> dict:
+    """One Ray task ``fn(source, staging dir, *args)`` per partition of
+    ``sources`` (``{pid: source path}``), keyed for ``_commit_each``."""
+    import ray
+
+    task = ray.remote(num_cpus=1)(fn)
+    return {task.remote(src, manifest.stage(pid), *args).future(): (pid, src)
+            for pid, src in sources.items()}
 
 
 def _partition_metrics(part_dir: str) -> dict:
@@ -97,6 +148,9 @@ def _run_partition(
     probe=None,
     plan: str = "fused",
 ) -> dict:
+    """Extract one partition into its staging dir and return its record
+    (``_commit_each`` commits it).  A partition whose output holds fewer
+    documents than its parquet input raises."""
     ds = read_documents_files([input_file])
     n_in = None
     if input_file.endswith(".parquet"):
@@ -150,89 +204,71 @@ def _run_partition(
         except Exception as e:  # noqa: BLE001 - telemetry only
             record["resources"] = {"samples": 0,
                                    "error": f"sink unavailable: {e}"}
-    manifest.commit(pid, record)
     return record
+
+
+def _map_parquet_stream(files: list[str], tmp_dir: str, fn,
+                        batch_rows: int):
+    """Stream the ``(doc_id, text)`` rows of ``files`` in units of
+    ``batch_rows`` rows or more (coalesced across files and row groups;
+    the last unit may be shorter), write ``fn(unit)`` of each unit to
+    ``tmp_dir/part-0.parquet`` and yield it.  Input without rows still
+    writes ``fn`` of one empty unit, so the part carries its schema.
+    Memory stays bounded by one unit.  The raw tasks below run it; the
+    driver commits ``tmp_dir``, hence the shared-FS requirement in
+    ``state/manifest.py``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    def units():
+        pending, rows, sent = [], 0, False
+        for path in files:
+            for rb in pq.ParquetFile(path).iter_batches(
+                    batch_size=batch_rows, columns=["doc_id", "text"]):
+                if rb.num_rows:
+                    pending.append(rb)
+                    rows += rb.num_rows
+                if rows >= batch_rows:
+                    yield pa.Table.from_batches(pending).combine_chunks()
+                    pending, rows, sent = [], 0, True
+        if pending:
+            yield pa.Table.from_batches(pending).combine_chunks()
+        elif not sent:
+            yield pa.table({"doc_id": pa.array([], type=pa.int64()),
+                            "text": pa.array([], type=pa.string())})
+
+    os.makedirs(tmp_dir, exist_ok=True)
+    writer = None
+    try:
+        for unit in units():
+            t = fn(unit)
+            if writer is None:
+                writer = pq.ParquetWriter(
+                    os.path.join(tmp_dir, "part-0.parquet"), t.schema)
+            writer.write_table(t)
+            yield t
+    finally:
+        if writer is not None:
+            writer.close()
 
 
 def _annotate_file_task(input_file: str, tmp_dir: str, make_annotator,
                         batch_rows: int = 16384) -> int:
-    """Annotate+gate ONE input file inside a single Ray TASK.
+    """Annotate+gate ONE input file inside a single Ray TASK; returns
+    the kept row count.
 
     Deliberately NOT a Ray Data pipeline: a per-file streaming executor
-    costs ~0.4-0.5 s of fixed setup/dispatch, and — measured on this
-    host — that cost GROWS with cluster size (200 small files at
+    costs ~0.4-0.5 s of fixed setup/dispatch, and — measured on a
+    32-core host — that cost GROWS with cluster size (200 small files at
     num_cpus=32 ran 2x SLOWER than at 8 through per-file Datasets,
     while one task per file scales linearly; BASELINE.md r3 'annotate
     phase' note).  The partition is already the parallelism unit, the
-    stage is map-only, and ``ParquetFile.iter_batches`` bounds memory
-    to one batch — the Dataset machinery buys nothing here.  This is
-    the sanctioned raw-task escape hatch: a per-file commit unit the
-    Dataset API cannot express without paying per-file executors.  The
-    driver commits ``tmp_dir`` (``_run_tasks``), hence the shared-FS
-    requirement in ``state/manifest.py``."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    ann = make_annotator()
-    os.makedirs(tmp_dir, exist_ok=True)
-    out_path = os.path.join(tmp_dir, "part-0.parquet")
-    pf = pq.ParquetFile(input_file)
-    writer = None
-    kept = 0
-    try:
-        for rb in pf.iter_batches(batch_size=batch_rows,
-                                  columns=["doc_id", "text"]):
-            t = ann(pa.Table.from_batches([rb]))
-            if writer is None:
-                writer = pq.ParquetWriter(out_path, t.schema)
-            writer.write_table(t)
-            kept += t.num_rows
-        if writer is None:  # empty input file: still commit the schema
-            t = ann(pa.table({"doc_id": pa.array([], type=pa.int64()),
-                              "text": pa.array([], type=pa.string())}))
-            writer = pq.ParquetWriter(out_path, t.schema)
-            writer.write_table(t)
-    finally:
-        if writer is not None:
-            writer.close()
-    return kept
-
-
-def _run_tasks(job: str, manifest: Manifest, fn, inputs: dict,
-               make_record, *fn_args) -> None:
-    """Run ``fn(input, tmp_dir, *fn_args)`` as one Ray task per
-    partition of ``inputs`` (``{pid: input path}``) and commit each
-    partition, with ``make_record(pid, result)``, on the DRIVER as its
-    task finishes, so the manifest stays single-writer.  A failed task
-    does not stop the others from committing; all failures raise
-    together at the end, and the committed partitions are skipped on
-    the rerun."""
-    import ray
-
-    task = ray.remote(num_cpus=1)(fn)
-    refs = {task.remote(src, manifest.stage(pid), *fn_args): (pid, src)
-            for pid, src in inputs.items()}
-    failures = []
-    while refs:
-        # drain every ready task per round (one wait RTT per task
-        # serialized the commit loop on 200-tiny-file inputs)
-        done_refs, _ = ray.wait(
-            list(refs), num_returns=min(len(refs), 64), timeout=1.0
-        )
-        for ref in done_refs:
-            pid, name = refs.pop(ref)
-            try:
-                result = ray.get(ref)
-            except Exception as e:  # noqa: BLE001 - commit the rest
-                failures.append((name, e))
-                continue
-            manifest.commit(pid, make_record(pid, result))
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} {job} partition(s) failed "
-            f"(others committed; rerun resumes): "
-            + "; ".join(f"{name}: {e}" for name, e in failures[:5])
-        )
+    stage is map-only, and the stream bounds memory to one batch — the
+    Dataset machinery buys nothing here.  This is the sanctioned
+    raw-task escape hatch: a per-file commit unit the Dataset API
+    cannot express without paying per-file executors."""
+    return sum(t.num_rows for t in _map_parquet_stream(
+        [input_file], tmp_dir, make_annotator(), batch_rows))
 
 
 def _run_two_phase(
@@ -256,7 +292,7 @@ def _run_two_phase(
        ``make_annotator()`` maps each document block to its scalar
        annotation rows, text dropped at the stage boundary.  Each
        partition runs as one Ray task and commits under
-       ``output_dir/annotated`` (``_run_tasks``); a rerun
+       ``output_dir/annotated`` (``_commit_each``); a rerun
        fingerprint-matches and redoes only missing partitions.
        ``annotate_sig`` folds the gate/annotate config into the
        partition fingerprint, so a config change redoes the annotate
@@ -274,9 +310,7 @@ def _run_two_phase(
     when partitions remain pending the summary reports
     ``status="partial"`` and finalize is skipped.
     """
-    files = list_input_files(input_path)
-    if not files:
-        raise FileNotFoundError(f"no input data files under {input_path}")
+    files = _input_files(input_path)
     ann_dir = os.path.join(output_dir, "annotated")
     os.makedirs(ann_dir, exist_ok=True)
     manifest = Manifest(ann_dir)
@@ -284,34 +318,28 @@ def _run_two_phase(
         pid: f"{partition_fingerprint(f)}:{annotate_sig}"
         for pid, f in enumerate(files)
     }
-    pending = [
-        (pid, f) for pid, f in enumerate(files)
-        if not manifest.is_done(pid, fps[pid])
-    ]
-    skipped = len(files) - len(pending)
-    if max_partitions is not None:
-        pending = pending[:max_partitions]
-    if pending:
-        _run_tasks(
-            "annotate", manifest, _annotate_file_task,
-            dict(pending),
-            lambda pid, kept: {
-                "input_file": os.path.abspath(files[pid]),
-                "input_fingerprint": fps[pid],
-                "docs_kept": kept,
-                **(record_extra or {}),
-            },
-            make_annotator,
-        )
+    todo = manifest.pending(fps, max_partitions)
+    _commit_each(
+        "annotate", manifest,
+        _task_futures(_annotate_file_task, manifest,
+                      {pid: files[pid] for pid in todo}, make_annotator),
+        lambda pid, kept: {
+            "input_file": os.path.abspath(files[pid]),
+            "input_fingerprint": fps[pid],
+            "docs_kept": kept,
+            **(record_extra or {}),
+        },
+    )
+    left = manifest.pending(fps)
     summary = {
         "job": job,
         "partitions_total": len(files),
-        "partitions_skipped": skipped,
-        "partitions_run": len(pending),
+        "partitions_skipped": len(files) - len(left) - len(todo),
+        "partitions_run": len(todo),
         "output": output_dir,
         "data_dir": os.path.join(output_dir, "data"),
     }
-    if any(not manifest.is_done(pid, fps[pid]) for pid in fps):
+    if left:
         return {**summary, "status": "partial", "rows_kept": None}
 
     # --- finalize: the global pass over the committed annotations ----
@@ -425,19 +453,14 @@ def _pack_shard_task(shard_dir: str, tmp_dir: str, capacity: int,
     concatenation per ``batch_rows``-row unit (``packed_examples_block``),
     write one parquet.  The select phase writes one file per exchange
     block — often tiny (11-row files observed at 1M-doc volume) — so
-    rows are COALESCED across files/row-groups up to ``batch_rows``
-    before packing; packing tiny units one-per-file leaves packs ~25%
-    full.  Pack-id uniqueness holds across units and shards because
-    both partition the doc_id space (units are disjoint doc sets, so
-    their min-doc_id prefixes differ).  Same raw-task escape hatch and
-    SHARED-FS requirement as ``_annotate_file_task``."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
+    the stream COALESCES rows across files/row-groups up to
+    ``batch_rows`` before packing; packing tiny units one-per-file
+    leaves packs ~25% full.  Pack-id uniqueness holds across units and
+    shards because both partition the doc_id space (units are disjoint
+    doc sets, so their min-doc_id prefixes differ).  Same raw-task
+    escape hatch as ``_annotate_file_task``."""
     from ..functions.packing import packed_examples_block
 
-    os.makedirs(tmp_dir, exist_ok=True)
-    out_path = os.path.join(tmp_dir, "part-0.parquet")
     files = (
         sorted(
             os.path.join(shard_dir, f) for f in os.listdir(shard_dir)
@@ -445,49 +468,14 @@ def _pack_shard_task(shard_dir: str, tmp_dir: str, capacity: int,
         )
         if os.path.isdir(shard_dir) else []
     )
-    writer = None
     n_docs = n_packs = n_tokens = 0
-    pending: list = []
-    pending_rows = 0
-
-    def _flush():
-        nonlocal writer, n_docs, n_packs, n_tokens, pending, pending_rows
-        t = packed_examples_block(
-            pa.Table.from_batches(pending).combine_chunks(),
-            capacity=capacity,
-        )
-        pending, pending_rows = [], 0
-        if writer is None:
-            writer = pq.ParquetWriter(out_path, t.schema)
-        writer.write_table(t)
+    for t in _map_parquet_stream(
+            files, tmp_dir,
+            lambda unit: packed_examples_block(unit, capacity=capacity),
+            batch_rows):
         n_packs += t.num_rows
         n_docs += int(np.sum(t.column("n_docs").to_numpy()))
         n_tokens += int(np.sum(t.column("n_tokens").to_numpy()))
-
-    try:
-        for path in files:
-            pf = pq.ParquetFile(path)
-            for rb in pf.iter_batches(batch_size=batch_rows,
-                                      columns=["doc_id", "text"]):
-                if rb.num_rows == 0:
-                    continue
-                pending.append(rb)
-                pending_rows += rb.num_rows
-                if pending_rows >= batch_rows:
-                    _flush()
-        if pending:
-            _flush()
-        if writer is None:  # empty shard: still commit the schema
-            t = packed_examples_block(
-                pa.table({"doc_id": pa.array([], type=pa.int64()),
-                          "text": pa.array([], type=pa.string())}),
-                capacity=capacity,
-            )
-            writer = pq.ParquetWriter(out_path, t.schema)
-            writer.write_table(t)
-    finally:
-        if writer is not None:
-            writer.close()
     return {"docs": n_docs, "packs": n_packs, "tokens": n_tokens}
 
 
@@ -523,14 +511,8 @@ def run_export(
     """
     import ray.data as rd
 
-    files = list_input_files(input_path)
-    if not files:
-        raise FileNotFoundError(f"no input data files under {input_path}")
-    man_files = list_input_files(manifest_path)
-    if not man_files:
-        raise FileNotFoundError(
-            f"no mix-manifest parquet under {manifest_path}"
-        )
+    files = _input_files(input_path)
+    man_files = _input_files(manifest_path, "mix-manifest parquet")
     os.makedirs(output_dir, exist_ok=True)
     select_key = fingerprint(
         [partition_fingerprint(f) for f in files]
@@ -568,34 +550,28 @@ def run_export(
     data_dir = os.path.join(output_dir, "data")
     os.makedirs(data_dir, exist_ok=True)
     manifest = Manifest(data_dir)
-
-    def shard_fp(k: int) -> str:
-        return f"{select_key}:cap={capacity}:shard={k}"
-
-    pending = [
-        k for k in range(n_shards) if not manifest.is_done(k, shard_fp(k))
-    ]
-    skipped = n_shards - len(pending)
-    if max_partitions is not None:
-        pending = pending[:max_partitions]
-    if pending:
-        _run_tasks(
-            "pack", manifest, _pack_shard_task,
-            {k: os.path.join(selected_dir, f"shard={k}") for k in pending},
-            lambda k, stats: {"input_fingerprint": shard_fp(k),
-                              "capacity": capacity, **stats},
-            capacity,
-        )
+    fps = {k: f"{select_key}:cap={capacity}:shard={k}"
+           for k in range(n_shards)}
+    todo = manifest.pending(fps, max_partitions)
+    _commit_each(
+        "pack", manifest,
+        _task_futures(_pack_shard_task, manifest,
+                      {k: os.path.join(selected_dir, f"shard={k}")
+                       for k in todo}, capacity),
+        lambda k, stats: {"input_fingerprint": fps[k],
+                          "capacity": capacity, **stats},
+    )
+    left = manifest.pending(fps)
     summary = {
         "job": "export",
         "shards_total": n_shards,
-        "shards_skipped": skipped,
-        "shards_run": len(pending),
+        "shards_skipped": n_shards - len(left) - len(todo),
+        "shards_run": len(todo),
         "selected_fresh": selected_fresh,
         "output": output_dir,
         "data_dir": data_dir,
     }
-    if any(not manifest.is_done(k, shard_fp(k)) for k in range(n_shards)):
+    if left:
         return {**summary, "status": "partial"}
     # totals over THIS selection's shards only (a stale record from an
     # older, larger shard count must not leak into the sums)
@@ -636,71 +612,57 @@ def run_extract(
     the first input file, and the summary reports the plan that ran
     (the one asked for when no partition was pending).  A partition
     whose output holds fewer documents than its parquet input is not
-    committed: the run raises.
+    committed; the others still commit, and the run then raises once
+    for every failed partition (``_commit_each``).
     """
     check_plan(plan)
-    files = list_input_files(input_path)
-    if not files:
-        raise FileNotFoundError(f"no input data files under {input_path}")
+    files = _input_files(input_path)
     os.makedirs(output_dir, exist_ok=True)
     manifest = Manifest(output_dir)
-    pending: list[tuple[int, str]] = []
-    skipped = 0
-    for pid, f in enumerate(files):
-        if manifest.is_done(pid, partition_fingerprint(f)):
-            skipped += 1
-        else:
-            pending.append((pid, f))
-    if max_partitions is not None:
-        pending = pending[:max_partitions]
-    probe = None
-    if pending:
+    fps = {pid: partition_fingerprint(f) for pid, f in enumerate(files)}
+    todo = manifest.pending(fps, max_partitions)
+    done = []
+    if todo:
         # one probe per job: it picks the plan (as ``auto_pipeline``
         # does) and its sample sizes every partition's pool
         from ..pipelines import extract as px
+        from .metrics import make_sink
 
         chosen, probe = px.choose_plan(read_documents_files([files[0]]),
                                        ocr_latency_ms=ocr_latency_ms,
                                        ocr_burn=ocr_burn, with_probe=True)
         plan = plan if plan in px.PLANS else chosen
-        ocr_concurrency = px.ocr_pool(
-            ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-            cap=ocr_concurrency, plan=plan,
-            pipelines=max(1, min(wave, len(pending)))).actors
-    # one zero-CPU metrics sink per job: every OCR actor pushes one
-    # resource sample per batch, drained per partition at commit
-    from .metrics import make_sink
-
-    metrics_sink = make_sink() if pending else None
-    kwargs = dict(
-        plan=plan,
-        ocr_burn=ocr_burn,
-        ocr_latency_ms=ocr_latency_ms,
-        ocr_concurrency=ocr_concurrency,
-        policy=policy,
-        model=model,
-        metrics_sink=metrics_sink,
-        probe=probe,
-    )
-    done = []
-    if pending:
+        kwargs = dict(
+            plan=plan,
+            ocr_burn=ocr_burn,
+            ocr_latency_ms=ocr_latency_ms,
+            ocr_concurrency=px.ocr_pool(
+                ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+                cap=ocr_concurrency, plan=plan,
+                pipelines=max(1, min(wave, len(todo)))).actors,
+            policy=policy,
+            model=model,
+            # one zero-CPU metrics sink per job: every OCR actor pushes
+            # one resource sample per batch, drained per partition
+            metrics_sink=make_sink(),
+            probe=probe,
+        )
         with ThreadPoolExecutor(max_workers=max(1, wave)) as pool:
-            futs = [
-                pool.submit(_run_partition, pid, f, manifest, **kwargs)
-                for pid, f in pending
-            ]
-            done = [f.result() for f in futs]
+            done = _commit_each("extract", manifest, {
+                pool.submit(_run_partition, pid, files[pid], manifest,
+                            **kwargs): (pid, files[pid])
+                for pid in todo})
+    left = manifest.pending(fps)
     if csv_summary:
         # reference-format CSVs (K3 compat, ocr_router.py:378-386):
         # AFTER the partition loop so a resumed run also fills parts
         # for partitions committed by an earlier non-csv run — the
         # summary dir always covers exactly the committed partitions
-        for pid, f in enumerate(files):
-            if manifest.is_done(pid, partition_fingerprint(f)):
-                _ensure_partition_csv(manifest, pid)
+        for pid in sorted(fps.keys() - set(left)):
+            _ensure_partition_csv(manifest, pid)
     return {
         "partitions_total": len(files),
-        "partitions_skipped": skipped,
+        "partitions_skipped": len(files) - len(left) - len(done),
         "partitions_run": len(done),
         "docs": sum(r["docs"] for r in done),
         "spans_out": sum(r["spans_out"] for r in done),

@@ -314,7 +314,7 @@ def test_exact_segment_fold_unit(ray_session):
     got = {r["k"]: (r["total"], r["frags"])
            for r in exact_segment_fold(
                ds, key_cols=["k"], fold=fold, raw_schema=raw,
-               out_schema=out, op="unit").take_all()}
+               out_schema=out).take_all()}
     # every key folded exactly once, split key summed across fragments
     assert got == {1: (10, 1), 2: (7, 1), 3: (30, 1)}
 
@@ -323,7 +323,7 @@ def test_exact_segment_fold_unit(ray_session):
     got_dist = {r["k"]: (r["total"], r["frags"])
                 for r in exact_segment_fold(
                     ds, key_cols=["k"], fold=fold, raw_schema=raw,
-                    out_schema=out, driver_max=0, op="unit2").take_all()}
+                    out_schema=out, driver_max=0).take_all()}
     assert got_dist == got
 
     # multi-partition distributed residual: many blocks, every block a
@@ -339,15 +339,14 @@ def test_exact_segment_fold_unit(ray_session):
     got_wide = {r["k"]: (r["total"], r["frags"])
                 for r in exact_segment_fold(
                     wide, key_cols=["k"], fold=fold, raw_schema=raw,
-                    out_schema=out, driver_max=0, rows_per_task=1,
-                    op="unit4").take_all()}
+                    out_schema=out, driver_max=0, rows_per_task=1).take_all()}
     expect = {k: (sum(range(3 * k, 3 * k + 3)), 1) for k in range(10)}
     assert got_wide == expect
 
     empty = rd.from_arrow(raw.empty_table())
     assert exact_segment_fold(
         empty, key_cols=["k"], fold=fold, raw_schema=raw,
-        out_schema=out, op="unit3").count() == 0
+        out_schema=out).count() == 0
 
 
 def test_exact_segment_fold_hot_key_distributed(ray_session):
@@ -400,8 +399,7 @@ def test_exact_segment_fold_hot_key_distributed(ray_session):
     got = {r["k"]: (r["total"], r["frags"])
            for r in exact_segment_fold(
                ds, key_cols=["k"], fold=fold, raw_schema=raw,
-               out_schema=out, driver_max=1000, rows_per_task=8192,
-               op="hotkey").take_all()}
+               out_schema=out, driver_max=1000, rows_per_task=8192).take_all()}
     n_hot = n_blocks * per_block
     assert got[5] == (n_hot * (n_hot - 1) // 2, 1)
     for i in range(n_blocks):

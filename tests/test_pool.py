@@ -66,15 +66,16 @@ def test_medium_input_spreads_over_actors(cpus):
 
 
 def test_clamp_leaves_one_cpu_free(cpus):
+    """Both footprints the rule produces: 0.25 CPU (latency-bound) and
+    1 CPU (compute-bound) per actor."""
     for n in (2, 3, 4, 8, 32):
         cpus(n)
-        for num_cpus in (0.25, 0.5, 1, 2):
+        for cost in (LATENCY, CPU_BOUND):
             for pipelines in (1, 2, 4):
                 pool = ocr_pool(probe=_probe(10**6), cap=10**6,
-                                num_cpus=num_cpus, pipelines=pipelines,
-                                **LATENCY)
-                if num_cpus * pipelines <= n - 1:
-                    assert pool.actors * num_cpus * pipelines <= n - 1
+                                pipelines=pipelines, **cost)
+                if pool.num_cpus * pipelines <= n - 1:
+                    assert pool.actors * pool.num_cpus * pipelines <= n - 1
                 else:
                     assert pool.actors == 1  # the floor: one actor
 
@@ -85,11 +86,11 @@ def test_split_pool_and_fold_fit_the_clamp(cpus):
     span actor and the fold."""
     for n in (2, 3, 4, 8, 32):
         cpus(n)
-        for num_cpus in (0.25, 0.5, 1):
+        for cost in (LATENCY, CPU_BOUND):
             for pipelines in (1, 2, 4):
                 pool = ocr_pool(probe=_probe(10**6), cap=10**6,
-                                num_cpus=num_cpus, pipelines=pipelines,
-                                plan="split", **LATENCY)
+                                pipelines=pipelines, plan="split", **cost)
+                num_cpus = pool.num_cpus
                 used = pipelines * (pool.actors * num_cpus + px._FOLD_CPUS)
                 if pipelines * (num_cpus + px._FOLD_CPUS) <= n - 1:
                     assert used <= n - 1, (n, num_cpus, pipelines, pool)

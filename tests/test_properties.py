@@ -602,8 +602,7 @@ def test_segment_fold_distributed_equals_pandas(ray_session, seed,
     got = {r["k"]: (r["total"], r["folds"])
            for r in exact_segment_fold(
                ds, key_cols=["k"], fold=fold, raw_schema=raw,
-               out_schema=out, driver_max=0, rows_per_task=7,
-               op="prop").take_all()}
+               out_schema=out, driver_max=0, rows_per_task=7).take_all()}
     import pandas as pd
 
     exp = pd.DataFrame({"k": keys, "v": vals}).groupby("k")["v"].sum()

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ollama_ocr_ray import oracle, synth
 from ollama_ocr_ray.pipelines import extract as px
-from ollama_ocr_ray.pipelines.extract import (FusedExtractor,
+from ollama_ocr_ray.pipelines.extract import (DocProbe, FusedExtractor,
                                               SpanRowExtractor, auto_pipeline,
                                               choose_plan, split_pipeline)
 from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
@@ -136,6 +136,33 @@ def test_choose_plan_splits_a_skewed_sample(ray_session):
     assert choose_plan(rd.from_arrow(_skewed(260))) == "fused"
 
 
+def test_explicit_fused_plan_still_sizes_the_pool_from_the_probe(
+        ray_session, tmp_path, monkeypatch):
+    """A plan name overrides only the probe's choice: ``auto_pipeline``
+    and ``run_extract`` both hand the probe's ``DocProbe`` to
+    ``ocr_pool`` for an explicit ``"fused"``."""
+    from ollama_ocr_ray.state.runner import run_extract
+
+    probes = []
+    pool_rule = px.ocr_pool
+
+    def spy(**kw):
+        probes.append(kw.get("probe"))
+        return pool_rule(**kw)
+
+    monkeypatch.setattr(px, "ocr_pool", spy)
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(_skewed(2, light=8), str(src / "part-00000.parquet"))
+    plan, _ = auto_pipeline(read_documents(str(src)), plan="fused")
+    assert plan == "fused" and isinstance(probes[-1], DocProbe)
+    probes.clear()
+    s = run_extract(str(src), str(tmp_path / "out"), plan="fused",
+                    ocr_latency_ms=1.0, wave=1)
+    assert s["plan"] == "fused"
+    assert any(isinstance(p, DocProbe) for p in probes)
+
+
 def test_choose_plan_keeps_a_uniform_sample_fused(ray_session):
     """At most 15 media spans x 10 ms per document (the shape of the
     resumable-job benchmark) stays on the fused plan."""
@@ -209,6 +236,42 @@ def test_partition_that_loses_a_document_is_not_committed(
         run_extract(str(tmp_path / "in"), out, plan="fused",
                     ocr_latency_ms=1.0, wave=1)
     assert Manifest(out).records() == []
+
+
+def test_failed_partitions_raise_together_and_rerun_redoes_them(
+        ray_session, tmp_path, monkeypatch):
+    """Two of three partitions lose a document: the good one commits,
+    one RuntimeError names both failed files (chained to the first
+    failure), and the rerun redoes only those two."""
+    from ollama_ocr_ray.state.manifest import Manifest
+    from ollama_ocr_ray.state.runner import run_extract
+
+    fused = px.PLANS["fused"]
+
+    def lossy(ds, **kw):
+        return fused(ds, **kw).filter(
+            lambda r: r["doc_id"] not in ("a1", "c1"))
+
+    monkeypatch.setitem(px.PLANS, "fused", lossy)
+    src = tmp_path / "in"
+    src.mkdir()
+    for name in "abc":
+        pq.write_table(_table([_doc(f"{name}{i}", i % 2) for i in range(4)]),
+                       str(src / f"part-{name}.parquet"))
+    out = str(tmp_path / "out")
+    kw = dict(plan="fused", ocr_latency_ms=1.0, wave=3)
+    with pytest.raises(RuntimeError, match="2 extract partition") as err:
+        run_extract(str(src), out, **kw)
+    assert "part-a.parquet" in str(err.value)
+    assert "part-c.parquet" in str(err.value)
+    assert "extracted 3 of 4 documents" in str(err.value.__cause__)
+    assert [r["input_file"] for r in Manifest(out).records()] \
+        == [str(src / "part-b.parquet")]
+    monkeypatch.setitem(px.PLANS, "fused", fused)
+    s = run_extract(str(src), out, **kw)
+    assert (s["partitions_run"], s["partitions_skipped"], s["docs"]) \
+        == (2, 1, 8)
+    assert [r["docs"] for r in Manifest(out).records()] == [4, 4, 4]
 
 
 # --- actor death ----------------------------------------------------------
