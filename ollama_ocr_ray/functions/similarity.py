@@ -5,9 +5,6 @@
 - ``lsh_ann``: random-hyperplane LSH bucketing with multiprobe — the
   scale path: candidates come from hash buckets, exact rerank only over
   candidates.  Same partitioning trick as MinHash banding.
-- ``embedding_near_dup_pairs``: all-pairs cosine ≥ threshold via
-  bucketed blocking (here brute-force per batch against the broadcast
-  matrix — the n×n side stays out of the shuffle).
 """
 
 from __future__ import annotations
@@ -330,37 +327,6 @@ def lsh_ann(embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
         )
 
     return cand.groupby("q_id").map_groups(topk, batch_format="pyarrow")
-
-
-def embedding_near_dup_pairs(embeddings, full_matrix: np.ndarray,
-                             full_ids: np.ndarray, threshold: float):
-    """(a_id, b_id, sim) for all pairs with cosine ≥ threshold.  The
-    full normalized matrix is broadcast (ray.put by the caller for real
-    clusters); each batch does one (batch × corpus) matmul — the
-    quadratic work is distributed over batches, nothing quadratic is
-    shuffled."""
-    fn_mat = _normalize(full_matrix.astype(np.float64))
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        ids, mat = _batch_matrix(batch)
-        sims = _normalize(mat) @ fn_mat.T  # (n_batch, N)
-        a_out, b_out, s_out = [], [], []
-        for r in range(len(ids)):
-            hits = np.nonzero(sims[r] >= threshold)[0]
-            for c in hits:
-                if full_ids[c] > ids[r]:  # each unordered pair once
-                    a_out.append(int(ids[r]))
-                    b_out.append(int(full_ids[c]))
-                    s_out.append(float(sims[r, c]))
-        return pa.table(
-            {
-                "a_id": pa.array(a_out, type=pa.int64()),
-                "b_id": pa.array(b_out, type=pa.int64()),
-                "sim": pa.array(s_out, type=pa.float64()),
-            }
-        )
-
-    return embeddings.map_batches(pairs, batch_format="pyarrow")
 
 
 def embedding_near_dup_blocked(embeddings, threshold: float,

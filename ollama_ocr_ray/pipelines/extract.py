@@ -3,14 +3,14 @@
 Two physical plans over one extraction kernel (explode, per-kind
 extract, OCR) and one reassembly (``reassemble_sorted_block``):
 
-- ``fused_pipeline`` runs the kernel and the reassembly in ONE actor
-  call (``FusedExtractor``).  A document is one input row, so all of
-  its span rows come out of one call and no exchange is needed
-  (operator fusion).  Its skew unit is the batch: a media-heavy
-  document's OCR calls all run inside one actor call (the reference's
-  sequential 100-page-PDF problem, ``ocr_router.py:279-298``).
-- ``split_pipeline`` explodes documents in a task stage that fuses
-  with the read's validation map, cuts the span rows into fixed-size blocks
+- **fused** runs the kernel and the reassembly in ONE actor call
+  (``FusedExtractor``).  A document is one input row, so all of its
+  span rows come out of one call and no exchange is needed (operator
+  fusion).  Its skew unit is the batch: a media-heavy document's OCR
+  calls all run inside one actor call (the reference's sequential
+  100-page-PDF problem, ``ocr_router.py:279-298``).
+- **split** explodes documents in a task stage that fuses with the
+  read's validation map, cuts the span rows into fixed-size blocks
   (``repartition(target_num_rows_per_block=k)``, a streaming map with
   no barrier), extracts them on an actor pool (``SpanRowExtractor``),
   and reassembles each document in one stateful fold actor
@@ -19,8 +19,10 @@ extract, OCR) and one reassembly (``reassemble_sorted_block``):
 
 ``choose_plan`` takes a bounded probe of the input: the modeled OCR
 time of its heaviest sampled document picks the plan, and the sample
-sizes the actor pool (``ocr_pool``).  ``auto_pipeline`` and the
-resumable runner make the same choice.
+sizes the actor pool (``ocr_pool``).  ``resolve_plan`` is the one place
+the plan is decided; ``auto_pipeline`` and the resumable runner
+(``state.runner.run_extract``) both go through it, then size one pool
+and hand it to the plan's builder in ``PLANS``.
 """
 
 from __future__ import annotations
@@ -106,11 +108,11 @@ def _span_ms(ocr_burn: int, ocr_latency_ms: float) -> float:
     return ocr_latency_ms + ocr_burn * _BURN_MS_PER_ITER
 
 
-def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
-             probe: DocProbe | None = None, cap: int | None = None,
-             batch_size: int | None = None, pipelines: int = 1,
-             plan: str = "fused") -> OcrPool:
-    """The one sizing rule for the extraction actor pool.
+def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
+             ocr_latency_ms: float = 0.0, cap: int | None = None,
+             pipelines: int = 1, plan: str = "fused") -> OcrPool:
+    """The one sizing rule for the extraction actor pool, from the
+    input's ``DocProbe`` (``resolve_plan``).
 
     Footprint: latency-bound inference (GPU/remote model, the
     reference's real profile, ``ollama_local_ocr.py:202``) sleeps more
@@ -139,29 +141,24 @@ def ocr_pool(*, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     per_span_ms = _span_ms(ocr_burn, ocr_latency_ms)
     if ocr_latency_ms > ocr_burn * _BURN_MS_PER_ITER:
         # 3.5 actors per CPU, but at most 4 per CPU beyond the first
-        auto_cap, num_cpus, auto_bs = min((7 * cpus) // 2,
-                                          4 * (cpus - 1)), 0.25, 128
+        auto_cap, num_cpus, batch_size = min((7 * cpus) // 2,
+                                             4 * (cpus - 1)), 0.25, 128
     else:
-        auto_cap, num_cpus, auto_bs = cpus - 1, 1, 64
+        auto_cap, num_cpus, batch_size = cpus - 1, 1, 64
     fold_cpus = _FOLD_CPUS if plan == "split" else 0.0
     budget = int(((cpus - 1) / pipelines - fold_cpus) / num_cpus)
     actors = max(1, min(auto_cap if cap is None else cap, budget))
-    if probe is None:
-        return OcrPool(actors, num_cpus, batch_size or auto_bs)
     work_s = probe.docs * (_DOC_MS + probe.media_mean * per_span_ms) / 1e3
     best = math.ceil(math.sqrt(work_s / _ACTOR_START_S))
     if plan == "split":
         actors = max(1, min(actors, best - 1))
-        if batch_size is None:
-            batch_size = max(_SPLIT_MIN_ROWS,
-                             math.ceil((probe.media_max + 1) / actors))
+        batch_size = max(_SPLIT_MIN_ROWS,
+                         math.ceil((probe.media_max + 1) / actors))
     elif probe.exact:
-        n_docs = probe.docs
         actors = max(1, min(actors, best))
-        batch_size = max(1, min(batch_size or auto_bs,
-                                math.ceil(n_docs / actors)))
-        actors = max(1, min(actors, math.ceil(n_docs / batch_size)))
-    return OcrPool(actors, num_cpus, batch_size or auto_bs)
+        batch_size = max(1, min(batch_size, math.ceil(probe.docs / actors)))
+        actors = max(1, min(actors, math.ceil(probe.docs / batch_size)))
+    return OcrPool(actors, num_cpus, batch_size)
 
 
 class SpanExtractor:
@@ -210,35 +207,17 @@ class FusedExtractor(SpanExtractor):
         return out if self.with_stats else out.select(["doc_id", "spans"])
 
 
-def _ocr_kwargs(*, ocr_burn, ocr_latency_ms, policy, media_store, model,
-                metrics_sink, metrics_tag) -> dict:
-    return dict(burn_iters=ocr_burn, latency_ms=ocr_latency_ms,
-                policy=policy, media_store=media_store, model=model,
-                metrics_sink=metrics_sink, metrics_tag=metrics_tag)
-
-
-def fused_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
-                   batch_size: int | None = None,
-                   concurrency: int | None = None,
-                   policy: str = "text", offset_range=None,
-                   media_store=None, with_stats: bool = False, model=None,
-                   metrics_sink=None, metrics_tag=None,
-                   probe: DocProbe | None = None):
+def _fused_plan(docs, pool: OcrPool, *, offset_range=None,
+                with_stats: bool = False, **ocr_kwargs):
     """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA
-    [+stats]): one ``FusedExtractor`` actor stage on the pool
-    ``ocr_pool`` sizes, capped at ``concurrency``."""
-    pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-                    probe=probe, cap=concurrency, batch_size=batch_size)
+    [+stats]): one ``FusedExtractor`` actor stage on ``pool``;
+    ``ocr_kwargs`` go to ``stages.ocr.OcrModel``."""
     return docs.map_batches(
         FusedExtractor,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        fn_constructor_kwargs=dict(
-            with_stats=with_stats, offset_range=offset_range,
-            **_ocr_kwargs(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-                          policy=policy, media_store=media_store,
-                          model=model, metrics_sink=metrics_sink,
-                          metrics_tag=metrics_tag)),
+        fn_constructor_kwargs=dict(with_stats=with_stats,
+                                   offset_range=offset_range, **ocr_kwargs),
         **pool.map_kwargs(),
     )
 
@@ -260,27 +239,18 @@ class SpanRowExtractor:
                                 promote_options="default")
 
 
-def split_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
-                   batch_size: int | None = None,
-                   concurrency: int | None = None,
-                   policy: str = "text", offset_range=None,
-                   media_store=None, with_stats: bool = False, model=None,
-                   metrics_sink=None, metrics_tag=None,
-                   probe: DocProbe | None = None):
+def _split_plan(docs, pool: OcrPool, *, offset_range=None,
+                with_stats: bool = False, **ocr_kwargs):
     """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA
     [+stats]) with a media-heavy document spread over the pool:
     explode (a task stage that fuses with the read's validation map),
-    span rows cut into
-    ``batch_size``-row blocks (``StreamingRepartition``), a
-    ``SpanRowExtractor`` actor stage on the pool ``ocr_pool`` sizes
-    (capped at ``concurrency``), and one ``DocumentFold`` actor.  Output
-    comes in completion order, not input order.  ``doc_id`` must be
-    unique across the input; a repeat raises ``ValueError``."""
+    span rows cut into ``pool.batch_size``-row blocks
+    (``StreamingRepartition``), a ``SpanRowExtractor`` actor stage on
+    ``pool``, and one ``DocumentFold`` actor.  Output comes in
+    completion order, not input order.  ``doc_id`` must be unique
+    across the input; a repeat raises ``ValueError``."""
     import ray.data
 
-    pool = ocr_pool(ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-                    probe=probe, cap=concurrency, batch_size=batch_size,
-                    plan="split")
     spans = docs.map_batches(
         explode_batch, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs=dict(offset_range=offset_range, stamp=True),
@@ -289,10 +259,7 @@ def split_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
         SpanRowExtractor,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        fn_constructor_kwargs=_ocr_kwargs(
-            ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms, policy=policy,
-            media_store=media_store, model=model,
-            metrics_sink=metrics_sink, metrics_tag=metrics_tag),
+        fn_constructor_kwargs=ocr_kwargs,
         **pool.map_kwargs(),
     )
     return spans.map_batches(
@@ -306,7 +273,9 @@ def split_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
     )
 
 
-PLANS = {"fused": fused_pipeline, "split": split_pipeline}
+# plan name → builder ``(docs, pool, *, offset_range, with_stats,
+# **OcrModel kwargs)``; ``resolve_plan`` picks the name
+PLANS = {"fused": _fused_plan, "split": _split_plan}
 
 
 def check_plan(plan: str | None) -> None:
@@ -355,27 +324,37 @@ def choose_plan(docs, *, ocr_latency_ms: float = 0.0, ocr_burn: int = 0,
     return (plan, probe) if with_probe else plan
 
 
+def resolve_plan(docs, plan: str | None, *, ocr_latency_ms: float = 0.0,
+                 ocr_burn: int = 0):
+    """The one place an extraction plan is decided: ``check_plan``, then
+    the probe (``choose_plan``), then the override — a plan name
+    replaces only the probe's choice, and its ``DocProbe`` still sizes
+    the pool.  Returns ``(plan name, DocProbe)``."""
+    check_plan(plan)
+    chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
+                                ocr_burn=ocr_burn, with_probe=True)
+    return (plan if plan in PLANS else chosen), probe
+
+
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,
                   policy: str = "text", offset_range=None,
                   ocr_concurrency: int | None = None,
                   with_stats: bool = False,
-                  plan: str | None = None, model=None):
-    """The engine's default: probe the input, then run the plan the
-    probe picks on a pool sized from its sample.  Returns (plan_name,
-    ds).  ``plan`` is checked by ``check_plan``; a plan name overrides
-    only the probe's choice, and the sample still sizes the pool (as in
-    ``state.runner.run_extract``).
+                  plan: str | None = None, model=None, media_store=None):
+    """The engine's extraction entry point: probe the input, then run
+    the plan ``resolve_plan`` decides on one pool ``ocr_pool`` sizes
+    from the sample, capped at ``ocr_concurrency`` actors.  Returns
+    (plan_name, ds).  ``media_store`` is the broadcast media lookup of
+    ``stages.ocr.OcrModel``.
     """
-    check_plan(plan)
-    chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
-                                ocr_burn=ocr_burn, with_probe=True)
-    plan = plan if plan in PLANS else chosen
-    return plan, PLANS[plan](docs, ocr_burn=ocr_burn,
-                             ocr_latency_ms=ocr_latency_ms,
-                             policy=policy, offset_range=offset_range,
-                             concurrency=ocr_concurrency,
-                             with_stats=with_stats, model=model,
-                             probe=probe)
+    plan, probe = resolve_plan(docs, plan, ocr_latency_ms=ocr_latency_ms,
+                               ocr_burn=ocr_burn)
+    pool = ocr_pool(probe, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
+                    cap=ocr_concurrency, plan=plan)
+    return plan, PLANS[plan](docs, pool, offset_range=offset_range,
+                             with_stats=with_stats, burn_iters=ocr_burn,
+                             latency_ms=ocr_latency_ms, policy=policy,
+                             media_store=media_store, model=model)
 
 
 def summary_table(extracted_with_stats):

@@ -380,12 +380,11 @@ def q_extract_canonical(sf_dir: str):
 
 
 def q_extract_fused(sf_dir: str):
-    from .pipelines.extract import fused_pipeline
+    from .pipelines.extract import auto_pipeline
 
-    docs = _read_corpus(sf_dir)
-    return fused_pipeline(docs, concurrency=8).map_batches(
-        _spans_digest, batch_format="pyarrow"
-    )
+    _, out = auto_pipeline(_read_corpus(sf_dir), plan="fused",
+                           ocr_concurrency=8)
+    return out.map_batches(_spans_digest, batch_format="pyarrow")
 
 
 def _read_corpus(sf_dir: str):
@@ -546,18 +545,18 @@ def _oracle_digests(sf_dir: str, policy: str):
     return _read_corpus(sf_dir).map_batches(fn, batch_format="pyarrow")
 
 
-def _policy_oracle_gate(sf_dir: str, policy: str):
-    """Fused plan under ``policy`` digest-compared against the
-    independent sequential oracle over the same corpus; expected empty,
-    so the SQL oracle is the empty table (shared body of the three
-    policy-parity gates)."""
-    from .pipelines.extract import fused_pipeline
+def _policy_oracle_gate(sf_dir: str, policy: str, plan: str = "fused"):
+    """``plan`` under ``policy`` digest-compared against the independent
+    sequential oracle over the same corpus; expected empty, so the SQL
+    oracle is the empty table (shared body of the three policy-parity
+    gates)."""
+    from .pipelines.extract import auto_pipeline
 
-    fused = fused_pipeline(_read_corpus(sf_dir), policy=policy,
-                           concurrency=8).map_batches(
-        _spans_digest, batch_format="pyarrow"
-    )
-    return _digest_parity(fused, _oracle_digests(sf_dir, policy))
+    _, out = auto_pipeline(_read_corpus(sf_dir), policy=policy, plan=plan,
+                           ocr_concurrency=8)
+    return _digest_parity(
+        out.map_batches(_spans_digest, batch_format="pyarrow"),
+        _oracle_digests(sf_dir, policy))
 
 
 def q_extract_multi(sf_dir: str):
@@ -569,11 +568,11 @@ def q_extract_multi(sf_dir: str):
 
 def q_extract_text_oracle(sf_dir: str):
     """Default-policy parity vs the independent sequential oracle on
-    ``fused_pipeline`` with an explicit pool; ``extract_parity`` checks
-    the probe-sized ``auto_pipeline`` path against the same oracle, so
-    both entry points are checked on every registry run (not just in
+    the split plan; ``extract_parity`` checks the plan the probe picks
+    (fused: this corpus has no OCR latency) against the same oracle, so
+    both plans are checked on every registry run (not just in
     pytest)."""
-    return _policy_oracle_gate(sf_dir, "text")
+    return _policy_oracle_gate(sf_dir, "text", plan="split")
 
 
 def q_extract_structured(sf_dir: str):
@@ -584,12 +583,11 @@ def q_extract_structured(sf_dir: str):
 
 def q_structured_receipts(sf_dir: str):
     """Typed receipts table parsed from 'structured'-policy extraction."""
-    from .pipelines.extract import fused_pipeline, structured_receipts
+    from .pipelines.extract import auto_pipeline, structured_receipts
 
-    docs = _read_corpus(sf_dir)
-    return structured_receipts(
-        fused_pipeline(docs, policy="structured", concurrency=8)
-    )
+    _, out = auto_pipeline(_read_corpus(sf_dir), policy="structured",
+                           plan="fused", ocr_concurrency=8)
+    return structured_receipts(out)
 
 
 def q_minhash_dedup(sf_dir: str):

@@ -104,11 +104,7 @@ def read_documents_files(files: list[str], *, validate: bool = True,
             f"{sorted(kinds)} — split the directory per format"
         )
     if _has_lance() and files and files[0].endswith(".lance"):
-        try:
-            ds = rd.read_lance(files[0],
-                               override_num_blocks=override_num_blocks)
-        except TypeError:  # older read_lance without the parameter
-            ds = rd.read_lance(files[0])
+        ds = rd.read_lance(files[0], override_num_blocks=override_num_blocks)
     elif files and files[0].endswith((".jsonl", ".json")):
         ds = rd.read_json(files, override_num_blocks=override_num_blocks)
     elif files and files[0].endswith(".csv"):
@@ -127,12 +123,9 @@ def read_documents_files(files: list[str], *, validate: bool = True,
 
 
 def write_extracted(ds, output_dir: str) -> None:
-    """extracted table → storage (Lance when importable, else partitioned
-    Parquet) — the write side of the adapter.  One file per block keeps
-    output partition-aligned and resumable (never one giant file); the
-    checkpointed path is ``state.runner`` which commits per input
-    partition."""
-    if _has_lance():
-        ds.write_lance(output_dir)
-    else:
-        ds.write_parquet(output_dir)
+    """extracted table → partitioned Parquet, the write side of the
+    adapter.  Always Parquet, Lance or not: the checkpointed path
+    (``state.runner``, one commit per input partition) reads every
+    committed partition back as Parquet.  One file per block keeps
+    output partition-aligned and resumable (never one giant file)."""
+    ds.write_parquet(output_dir)

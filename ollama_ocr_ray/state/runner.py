@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import numpy as np
 
-from ..pipelines.extract import PLANS, check_plan
+from ..pipelines import extract as px
 from ..sources.io import (list_input_files, read_documents,
                           read_documents_files, write_extracted)
 from .manifest import (Manifest, done_record, fingerprint,
@@ -139,17 +139,21 @@ def _run_partition(
     input_file: str,
     manifest: Manifest,
     *,
+    plan: str,
+    probe,
+    pipelines: int,
     ocr_burn: int,
     ocr_latency_ms: float,
     ocr_concurrency: int | None,
     policy,
     model=None,
     metrics_sink=None,
-    probe=None,
-    plan: str = "fused",
 ) -> dict:
     """Extract one partition into its staging dir and return its record
-    (``_commit_each`` commits it).  A partition whose output holds fewer
+    (``_commit_each`` commits it).  The partition's pool is sized by ONE
+    ``ocr_pool`` call: the job's probe scaled to this partition, capped
+    at ``ocr_concurrency`` and at its share among ``pipelines``
+    partitions running at once.  A partition whose output holds fewer
     documents than its parquet input raises."""
     ds = read_documents_files([input_file])
     n_in = None
@@ -157,16 +161,17 @@ def _run_partition(
         import pyarrow.parquet as pq
 
         n_in = pq.ParquetFile(input_file).metadata.num_rows
-    if probe is not None:
-        # the job's media-per-doc sample, scaled to this partition's
-        # exact doc count when its footer says it (parquet)
-        probe = (probe._replace(docs=n_in, exact=True) if n_in is not None
-                 else probe._replace(exact=False))
-    out = PLANS[plan](
-        ds, ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-        concurrency=ocr_concurrency, policy=policy, with_stats=True,
-        model=model, metrics_sink=metrics_sink, metrics_tag=pid,
-        probe=probe,
+    # the job's media-per-doc sample, scaled to this partition's exact
+    # doc count when its footer says it (parquet)
+    probe = (probe._replace(docs=n_in, exact=True) if n_in is not None
+             else probe._replace(exact=False))
+    pool = px.ocr_pool(probe, ocr_burn=ocr_burn,
+                       ocr_latency_ms=ocr_latency_ms, cap=ocr_concurrency,
+                       pipelines=pipelines, plan=plan)
+    out = px.PLANS[plan](
+        ds, pool, with_stats=True, burn_iters=ocr_burn,
+        latency_ms=ocr_latency_ms, policy=policy, model=model,
+        metrics_sink=metrics_sink, metrics_tag=pid,
     )
     tmp_dir = manifest.stage(pid)
     # a recommitted partition invalidates any previous summary csv;
@@ -607,7 +612,7 @@ def run_extract(
     fixed actor pool sized by ``ocr_pool`` from its doc count and the
     job's probe, capped at ``ocr_concurrency`` actors and at its share
     of the cluster among the ``wave`` partitions running at once.
-    ``plan`` is checked by ``pipelines.extract.check_plan``; ``"auto"``
+    ``plan`` goes through ``pipelines.extract.resolve_plan``: ``"auto"``
     (or ``None``) takes the plan ``choose_plan`` picks from a sample of
     the first input file, and the summary reports the plan that ran
     (the one asked for when no partition was pending).  A partition
@@ -615,7 +620,7 @@ def run_extract(
     committed; the others still commit, and the run then raises once
     for every failed partition (``_commit_each``).
     """
-    check_plan(plan)
+    px.check_plan(plan)
     files = _input_files(input_path)
     os.makedirs(output_dir, exist_ok=True)
     manifest = Manifest(output_dir)
@@ -625,27 +630,23 @@ def run_extract(
     if todo:
         # one probe per job: it picks the plan (as ``auto_pipeline``
         # does) and its sample sizes every partition's pool
-        from ..pipelines import extract as px
         from .metrics import make_sink
 
-        chosen, probe = px.choose_plan(read_documents_files([files[0]]),
-                                       ocr_latency_ms=ocr_latency_ms,
-                                       ocr_burn=ocr_burn, with_probe=True)
-        plan = plan if plan in px.PLANS else chosen
+        plan, probe = px.resolve_plan(read_documents_files([files[0]]),
+                                      plan, ocr_latency_ms=ocr_latency_ms,
+                                      ocr_burn=ocr_burn)
         kwargs = dict(
             plan=plan,
+            probe=probe,
+            pipelines=max(1, min(wave, len(todo))),
             ocr_burn=ocr_burn,
             ocr_latency_ms=ocr_latency_ms,
-            ocr_concurrency=px.ocr_pool(
-                ocr_burn=ocr_burn, ocr_latency_ms=ocr_latency_ms,
-                cap=ocr_concurrency, plan=plan,
-                pipelines=max(1, min(wave, len(todo)))).actors,
+            ocr_concurrency=ocr_concurrency,
             policy=policy,
             model=model,
             # one zero-CPU metrics sink per job: every OCR actor pushes
             # one resource sample per batch, drained per partition
             metrics_sink=make_sink(),
-            probe=probe,
         )
         with ThreadPoolExecutor(max_workers=max(1, wave)) as pool:
             done = _commit_each("extract", manifest, {

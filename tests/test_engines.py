@@ -118,7 +118,7 @@ def test_media_store_objectref_payloads_reach_model(ray_session):
     import ray
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import fused_pipeline
+    from ollama_ocr_ray.pipelines.extract import auto_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     doc = {
@@ -132,8 +132,9 @@ def test_media_store_objectref_payloads_reach_model(ray_session):
     table = pa.Table.from_pylist([doc], schema=DOCUMENTS_SCHEMA)
     store = ray.put({"s3://a": b"same-bytes", "s3://b": b"same-bytes",
                      "s3://c": b"other-bytes"})
-    out = fused_pipeline(rd.from_arrow(table), media_store=store,
-                         model=DemoHashModel(), concurrency=2)
+    _, out = auto_pipeline(rd.from_arrow(table), plan="fused",
+                           media_store=store, model=DemoHashModel(),
+                           ocr_concurrency=2)
     t = pa.concat_tables(
         list(out.iter_batches(batch_size=None, batch_format="pyarrow"))
     )

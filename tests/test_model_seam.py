@@ -4,7 +4,7 @@ user drops a TrOCR/Ollama/Tesseract wrapper into (engine dispatch of
 ``/root/reference/ocr_router.py:177-217``).  The mock contract is the
 default injection; these tests inject a fake "real" model and check
 span-sequence equality against an independently computed expectation
-through ``fused_pipeline`` and ``auto_pipeline``.
+through ``auto_pipeline`` and the fused plan on an explicit pool.
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ollama_ocr_ray import oracle, synth
-from ollama_ocr_ray.pipelines.extract import auto_pipeline, fused_pipeline
+from ollama_ocr_ray.pipelines.extract import PLANS, OcrPool, auto_pipeline
 from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 from ollama_ocr_ray.spec import CORRUPT_SUFFIX
 
@@ -71,8 +71,8 @@ def test_injected_model_auto_and_fused(ray_session):
     _, auto = auto_pipeline(ds, ocr_concurrency=2, model=model)
     got_auto = _spans_map(auto)
     got_fused = _spans_map(
-        fused_pipeline(rd.from_arrow(corpus).repartition(4),
-                       concurrency=2, batch_size=32, model=model)
+        PLANS["fused"](rd.from_arrow(corpus).repartition(4),
+                       OcrPool(2, 1, 32), model=model)
     )
     assert got_auto == want
     assert got_fused == want
@@ -101,8 +101,8 @@ def test_injected_model_with_media_store(ray_session):
     store = {"media://a": b"pixels-a",
              "media://bad" + CORRUPT_SUFFIX: b"whatever"}
     model = _make_model()
-    out = fused_pipeline(
-        rd.from_arrow(table), concurrency=2,
+    _, out = auto_pipeline(
+        rd.from_arrow(table), plan="fused", ocr_concurrency=2,
         media_store=ray.put(store), model=model,
     )
     spans = _spans_map(out)["m-1"]

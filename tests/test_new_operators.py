@@ -594,11 +594,11 @@ def test_offset_range_selection(ray_session):
 
     from ollama_ocr_ray import synth
     from ollama_ocr_ray.oracle import extract_document
-    from ollama_ocr_ray.pipelines.extract import fused_pipeline
+    from ollama_ocr_ray.pipelines.extract import auto_pipeline
 
     table = synth.gen_table(30, seed=4)
-    out = fused_pipeline(rd.from_arrow(table), offset_range=(0, 1),
-                         concurrency=2)
+    _, out = auto_pipeline(rd.from_arrow(table), plan="fused",
+                           offset_range=(0, 1), ocr_concurrency=2)
     got = {
         r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["order"])
                       for s in r["spans"]]
@@ -620,11 +620,11 @@ def test_corpus_summary_aggregate(ray_session):
     import ray.data as rd
 
     from ollama_ocr_ray import synth
-    from ollama_ocr_ray.pipelines.extract import corpus_summary, fused_pipeline
+    from ollama_ocr_ray.pipelines.extract import auto_pipeline, corpus_summary
 
     table = synth.gen_table(25, seed=2)
-    stats = fused_pipeline(rd.from_arrow(table), with_stats=True,
-                           concurrency=2)
+    _, stats = auto_pipeline(rd.from_arrow(table), plan="fused",
+                             with_stats=True, ocr_concurrency=2)
     row = corpus_summary(stats)
     assert row["docs"] == 25
     assert row["spans"] > 0 and row["chars"] > 0
@@ -680,7 +680,7 @@ def test_media_store_broadcast_lookup(ray_session):
     import ray
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import fused_pipeline
+    from ollama_ocr_ray.pipelines.extract import auto_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     doc = {
@@ -703,8 +703,8 @@ def test_media_store_broadcast_lookup(ray_session):
             (s["kind"], s["text"]) for s in t.to_pylist()[0]["spans"]
         ]
 
-    got = spans(fused_pipeline(rd.from_arrow(table), media_store=store,
-                               concurrency=2))
+    got = spans(auto_pipeline(rd.from_arrow(table), plan="fused",
+                              media_store=store, ocr_concurrency=2)[1])
     assert got[0] == got[1]                           # same bytes, same text
     assert got[0][0] == "ocr"
     assert got[2][0] == "error" and "media not found" in got[2][1]

@@ -1,5 +1,5 @@
 """End-to-end span-sequence equality of the Ray pipelines vs the
-sequential oracle (SURVEY.md §5.2.2-4): the fused plan with an explicit
+sequential oracle (SURVEY.md §5.2.2-4): the fused plan on an explicit
 pool and through ``auto_pipeline``'s probe-sized pool, and structural
 invariants."""
 
@@ -8,8 +8,9 @@ import ray.data as rd
 
 from ollama_ocr_ray import oracle, synth
 from ollama_ocr_ray.pipelines.extract import (
+    PLANS,
+    OcrPool,
     auto_pipeline,
-    fused_pipeline,
     summary_table,
 )
 
@@ -55,7 +56,7 @@ def test_auto_pipeline_matches_oracle(ray_session, corpus, expected):
 
 def test_fused_pipeline_matches_oracle(ray_session, corpus, expected):
     ds = rd.from_arrow(corpus).repartition(8)
-    out = fused_pipeline(ds, batch_size=32, concurrency=2)
+    out = PLANS["fused"](ds, OcrPool(2, 1, 32))
     got = _spans_map(_collect(out))
     assert got == expected
 
@@ -64,7 +65,7 @@ def test_structural_invariants(ray_session, corpus, expected):
     """Property-style checks: no doc lost/duplicated; order dense and
     strictly increasing; media spans preserved 1:1."""
     ds = rd.from_arrow(corpus)
-    out = _collect(fused_pipeline(ds))
+    out = _collect(auto_pipeline(ds, plan="fused")[1])
     ids = out.column("doc_id").to_pylist()
     assert len(ids) == len(set(ids)) == N_DOCS
     for r in out.to_pylist():
@@ -82,7 +83,7 @@ def test_structural_invariants(ray_session, corpus, expected):
 
 def test_summary_table(ray_session, corpus, expected):
     ds = rd.from_arrow(corpus)
-    stats = fused_pipeline(ds, with_stats=True)
+    _, stats = auto_pipeline(ds, plan="fused", with_stats=True)
     summ = _collect(summary_table(stats))
     assert len(summ) == N_DOCS
     by_id = {r["doc_id"]: r for r in summ.to_pylist()}
@@ -99,8 +100,8 @@ def test_stats_agree_across_plans(ray_session, corpus):
     latency only to documents that have media spans (per-document stat
     values are checked against the oracle in test_summary_table)."""
     got = {r["doc_id"]: r for r in _collect(
-        fused_pipeline(rd.from_arrow(corpus), with_stats=True,
-                       batch_size=32, concurrency=2).select_columns(
+        PLANS["fused"](rd.from_arrow(corpus), OcrPool(2, 1, 32),
+                       with_stats=True).select_columns(
             ["doc_id", "ocr_ms"])
     ).to_pylist()}
     assert set(got) == set(corpus["doc_id"].to_pylist())
@@ -135,7 +136,8 @@ def test_very_wide_doc(ray_session):
                    "offset": 0}],
     }
     table = pa.Table.from_pylist([doc, small], schema=DOCUMENTS_SCHEMA)
-    out = fused_pipeline(rd.from_arrow(table), concurrency=4)
+    _, out = auto_pipeline(rd.from_arrow(table), plan="fused",
+                           ocr_concurrency=4)
     rows = {
         r["doc_id"]: r["spans"]
         for b in out.iter_batches(batch_size=None, batch_format="pyarrow")

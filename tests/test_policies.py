@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from ollama_ocr_ray import oracle, synth
-from ollama_ocr_ray.pipelines.extract import FusedExtractor, fused_pipeline
+from ollama_ocr_ray.pipelines.extract import FusedExtractor, auto_pipeline
 from ollama_ocr_ray.spec import POLICY_MODES, mode_transcript, register_policy
 
 
@@ -32,10 +32,9 @@ def test_policy_three_way_equality(ray_session, policy):
 
     table = synth.gen_table(60, seed=9)
     want = oracle.extract_corpus(table, policy)
-    got_f = _spans_of(
-        fused_pipeline(rd.from_arrow(table), policy=policy,
-                       concurrency=2)
-    )
+    _, out = auto_pipeline(rd.from_arrow(table), plan="fused",
+                           policy=policy, ocr_concurrency=2)
+    got_f = _spans_of(out)
     got_local = _table_spans(FusedExtractor(policy=policy)(table))
     assert got_f == want
     assert got_local == want
@@ -87,10 +86,9 @@ def test_callable_policy_extension(ray_session):
 
     table = synth.gen_table(10, seed=3)
     want = oracle.extract_corpus(table, _shout)
-    got = _spans_of(
-        fused_pipeline(rd.from_arrow(table), policy=_shout,
-                       concurrency=2)
-    )
+    _, out = auto_pipeline(rd.from_arrow(table), plan="fused",
+                           policy=_shout, ocr_concurrency=2)
+    got = _spans_of(out)
     assert got == want
     assert any(
         s[1].startswith("LOUD:") for spans in got.values() for s in spans
@@ -114,16 +112,12 @@ def test_structured_receipts_view(ray_session):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import (
-        fused_pipeline,
-        structured_receipts,
-    )
+    from ollama_ocr_ray.pipelines.extract import structured_receipts
 
     table = synth.gen_table(40, seed=11)
-    out = structured_receipts(
-        fused_pipeline(rd.from_arrow(table), policy="structured",
-                       concurrency=2)
-    )
+    _, extracted = auto_pipeline(rd.from_arrow(table), plan="fused",
+                                 policy="structured", ocr_concurrency=2)
+    out = structured_receipts(extracted)
     t = pa.concat_tables(
         list(out.iter_batches(batch_size=None, batch_format="pyarrow"))
     )

@@ -32,9 +32,8 @@ def test_pool_never_outnumbers_its_batches(cpus):
     cpus(4)
     for n_docs in (0, 1, 5, 16, 63, 65, 100, 256, 1000, 10**5):
         for cost in (LATENCY, CPU_BOUND, {}):
-            for bs in (None, 7, 512):
-                pool = ocr_pool(probe=_probe(n_docs), batch_size=bs, **cost)
-                assert 1 <= pool.actors <= max(1, _batches(pool, n_docs))
+            pool = ocr_pool(_probe(n_docs), **cost)
+            assert 1 <= pool.actors <= max(1, _batches(pool, n_docs))
 
 
 def test_small_input_gets_one_actor(cpus):
@@ -47,7 +46,6 @@ def test_small_input_gets_one_actor(cpus):
 def test_large_or_unknown_input_gets_the_cap(cpus):
     cpus(4)
     assert ocr_pool(probe=_probe(10**5), **LATENCY).actors == 12
-    assert ocr_pool(**LATENCY).actors == 12
     assert ocr_pool(probe=_probe(10**5), cap=8, **LATENCY).actors == 8
     # a sample cut at sample_docs says nothing about the input's size
     inexact = _probe(16)._replace(exact=False)
@@ -155,3 +153,43 @@ def test_run_extract_spreads_one_file_over_actors(ray_session, tmp_path):
     assert {r["doc_id"]: [(x["kind"], x["text"], x["media_ref"], x["order"])
                           for x in r["spans"]] for r in got} \
         == oracle.extract_corpus(table)
+
+
+def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
+                                               monkeypatch):
+    """``auto_pipeline``, on any plan, and ``run_extract`` size every
+    pool from the probe; ``run_extract`` sizes each partition's pool in
+    ONE call, from the footer-exact count, sharing the CPUs over the
+    partitions that run at once."""
+    import pyarrow.parquet as pq
+
+    from ollama_ocr_ray import synth
+    from ollama_ocr_ray.pipelines.extract import auto_pipeline
+    from ollama_ocr_ray.sources.io import read_documents
+    from ollama_ocr_ray.state.runner import run_extract
+
+    calls = []
+    pool_rule = px.ocr_pool
+
+    def spy(probe, **kw):
+        calls.append((probe, kw))
+        return pool_rule(probe, **kw)
+
+    monkeypatch.setattr(px, "ocr_pool", spy)
+    table = synth.gen_table(16, seed=3)
+    src = tmp_path / "in"
+    src.mkdir()
+    for i in range(2):
+        pq.write_table(table.slice(8 * i, 8), str(src / f"part-{i}.parquet"))
+    for plan in (None, "fused", "split"):
+        auto_pipeline(read_documents(str(src)), plan=plan, ocr_latency_ms=1.0)
+    assert len(calls) == 3
+    assert all(isinstance(probe, DocProbe) for probe, _ in calls)
+    calls.clear()
+    s = run_extract(str(src), str(tmp_path / "out"), ocr_latency_ms=1.0,
+                    wave=2)
+    assert s["docs"] == 16
+    assert len(calls) == 2
+    for probe, kw in calls:
+        assert isinstance(probe, DocProbe) and probe.exact
+        assert probe.docs == 8 and kw["pipelines"] == 2

@@ -87,6 +87,25 @@ def test_fused_plan_runner(ray_session, corpus_dir, tmp_path):
     assert _read_spans(out) == expected
 
 
+def test_extract_output_stays_parquet_when_lance_imports(
+        ray_session, tmp_path, monkeypatch):
+    """The runner reads every committed partition back as Parquet, so
+    an extract job writes Parquet even where pylance is installed."""
+    import pyarrow.parquet as pq
+
+    from ollama_ocr_ray.sources import io
+
+    monkeypatch.setattr(io, "_has_lance", lambda: True)
+    table = synth.gen_table(20, seed=3)
+    (tmp_path / "in").mkdir()
+    pq.write_table(table, str(tmp_path / "in" / "part-00000.parquet"))
+    out = str(tmp_path / "out")
+    s = run_extract(str(tmp_path / "in"), out, wave=1, ocr_concurrency=1)
+    assert (s["partitions_run"], s["docs"]) == (1, 20)
+    assert [r["docs"] for r in Manifest(out).records()] == [20]
+    assert _read_spans(out) == oracle.extract_corpus(table)
+
+
 def test_cli_prep_job(ray_session, tmp_path, capsys):
     """--job prep streams the composed prep pipeline to partitioned
     parquet; kept rows = the library pipeline's own output."""

@@ -222,7 +222,7 @@ def test_router_through_fused_pipeline(ray_session):
     the right fake engine and the transcripts land on the right spans."""
     import ray.data as rd
 
-    from ollama_ocr_ray.pipelines.extract import fused_pipeline
+    from ollama_ocr_ray.pipelines.extract import auto_pipeline
     from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     doc = {
@@ -239,7 +239,8 @@ def test_router_through_fused_pipeline(ray_session):
     table = pa.Table.from_pylist([doc], schema=DOCUMENTS_SCHEMA)
     model = RouterModel(printed=DemoHashModel("PRN"),
                         handwriting=DemoHashModel("HND"))
-    out = fused_pipeline(rd.from_arrow(table), model=model, concurrency=2)
+    _, out = auto_pipeline(rd.from_arrow(table), plan="fused", model=model,
+                           ocr_concurrency=2)
     [row] = out.take_all()
     spans = sorted(row["spans"], key=lambda s: s["order"])
     assert [s["kind"] for s in spans] == ["ocr", "text", "ocr"]

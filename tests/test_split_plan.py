@@ -1,4 +1,4 @@
-"""The span-split plan (``pipelines.extract.split_pipeline``): stamped
+"""The span-split plan (``pipelines.extract.PLANS["split"]``): stamped
 explode, span-row extraction with tally rows, the count-completion fold
 (``stages.reassemble.DocumentFold``), the probe that picks the plan, and
 what happens when rows repeat, go missing or an actor dies."""
@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from ollama_ocr_ray import oracle, synth
 from ollama_ocr_ray.pipelines import extract as px
 from ollama_ocr_ray.pipelines.extract import (DocProbe, FusedExtractor,
-                                              SpanRowExtractor, auto_pipeline,
-                                              choose_plan, split_pipeline)
+                                              OcrPool, SpanRowExtractor,
+                                              auto_pipeline, choose_plan)
 from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
 from ollama_ocr_ray.sources.io import read_documents
 from ollama_ocr_ray.stages.explode import explode_batch
@@ -146,9 +146,9 @@ def test_explicit_fused_plan_still_sizes_the_pool_from_the_probe(
     probes = []
     pool_rule = px.ocr_pool
 
-    def spy(**kw):
-        probes.append(kw.get("probe"))
-        return pool_rule(**kw)
+    def spy(probe, **kw):
+        probes.append(probe)
+        return pool_rule(probe, **kw)
 
     monkeypatch.setattr(px, "ocr_pool", spy)
     src = tmp_path / "in"
@@ -225,8 +225,8 @@ def test_partition_that_loses_a_document_is_not_committed(
 
     fused = px.PLANS["fused"]
 
-    def lossy(ds, **kw):
-        return fused(ds, **kw).filter(lambda r: r["doc_id"] != "d003")
+    def lossy(ds, pool, **kw):
+        return fused(ds, pool, **kw).filter(lambda r: r["doc_id"] != "d003")
 
     monkeypatch.setitem(px.PLANS, "fused", lossy)
     (tmp_path / "in").mkdir()
@@ -248,8 +248,8 @@ def test_failed_partitions_raise_together_and_rerun_redoes_them(
 
     fused = px.PLANS["fused"]
 
-    def lossy(ds, **kw):
-        return fused(ds, **kw).filter(
+    def lossy(ds, pool, **kw):
+        return fused(ds, pool, **kw).filter(
             lambda r: r["doc_id"] not in ("a1", "c1"))
 
     monkeypatch.setitem(px.PLANS, "fused", lossy)
@@ -286,8 +286,8 @@ def test_killed_fold_actor_fails_the_job(ray_session, monkeypatch):
             return super().__call__(batch)
 
     monkeypatch.setattr(px, "DocumentFold", DyingFold)
-    out = split_pipeline(rd.from_arrow(_skewed(60)), batch_size=16,
-                         concurrency=2, ocr_latency_ms=1.0)
+    out = px.PLANS["split"](rd.from_arrow(_skewed(60)), OcrPool(2, 0.25, 16),
+                            latency_ms=1.0)
     with pytest.raises(ray.exceptions.ActorDiedError, match="DyingFold"):
         _drain(out)
 
@@ -308,8 +308,8 @@ def test_killed_span_actor_gives_identical_output_or_fails(ray_session,
         return [mock_transcript(p) for p in payloads]
 
     table = _skewed(60)
-    out = split_pipeline(rd.from_arrow(table), batch_size=16, concurrency=2,
-                         ocr_latency_ms=1.0, model=model)
+    out = px.PLANS["split"](rd.from_arrow(table), OcrPool(2, 0.25, 16),
+                            latency_ms=1.0, model=model)
     try:
         got = _spans(_drain(out))
     except Exception as e:  # noqa: BLE001 - Ray Data wraps the ValueError

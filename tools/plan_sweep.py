@@ -69,8 +69,10 @@ def run_job(path: str, plan: str, latency_ms: float, actors, rows) -> tuple:
     t0 = time.perf_counter()
     ds = read_documents(path)
     _, probe = px.choose_plan(ds, ocr_latency_ms=latency_ms, with_probe=True)
-    out = px.PLANS[plan](ds, ocr_latency_ms=latency_ms, probe=probe,
-                         concurrency=actors, batch_size=rows)
+    pool = px.ocr_pool(probe, ocr_latency_ms=latency_ms, plan=plan)
+    pool = pool._replace(actors=actors or pool.actors,
+                         batch_size=rows or pool.batch_size)
+    out = px.PLANS[plan](ds, pool, latency_ms=latency_ms)
     first, tables = None, []
     for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
         first = first or time.perf_counter() - t0
