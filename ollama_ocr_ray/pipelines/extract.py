@@ -17,10 +17,14 @@ extract, OCR) and one reassembly (``reassemble_sorted_block``):
   (``stages.reassemble.DocumentFold``) as soon as all of its rows are
   back: a heavy document's spans spread over the pool.
 
-``choose_plan`` takes a bounded probe of the input: the modeled OCR
-time of its heaviest sampled document picks the plan, and the sample
-sizes the actor pool (``ocr_pool``).  ``resolve_plan`` is the one place
-the plan is decided; ``auto_pipeline`` and the resumable runner
+``choose_plan`` probes the input's first ``_SAMPLE_DOCS`` documents in
+input order: the modeled OCR time of the heaviest one picks the plan,
+and the sample sizes the actor pool (``ocr_pool``).  A parquet input
+from ``sources.io.read_documents`` is probed on the driver from its
+footers (row count, schema) and head row groups (the spans' ``kind``
+leaf), with no Ray execution; any other Dataset by one ordered Ray Data
+sample.  ``resolve_plan`` is the one place the plan is decided;
+``auto_pipeline`` and the resumable runner
 (``state.runner.run_extract``) both go through it, then size one pool
 and hand it to the plan's builder in ``PLANS``.
 """
@@ -34,7 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import SUMMARY_SCHEMA
+from ..schema import SUMMARY_SCHEMA, validate_documents
+from ..sources.io import parquet_files
 from ..stages.explode import explode_batch
 from ..stages.extract import extract_batch
 from ..stages.ocr import OcrModel
@@ -47,8 +52,9 @@ _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
 # actor adds to a short pipeline (start-up, imports, first dispatch).
 _DOC_MS = 0.25
 _ACTOR_START_S = 0.25
-# Documents ``choose_plan`` reads from the head of the input (1-2 input
-# blocks, re-read by the main run — bounded cost at any corpus size).
+# Documents ``choose_plan`` reads from the head of the input (a parquet
+# input's head row groups, else 1-2 input blocks re-read by the main
+# run — bounded cost at any corpus size).
 _SAMPLE_DOCS = 512
 # The split plan pays off once the heaviest sampled document's modeled
 # OCR time passes this (the crossover of the 4-CPU sweep in BASELINE.md
@@ -128,12 +134,14 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
 
     Size: each actor costs ``_ACTOR_START_S`` and saves ``work / n``,
     so n = sqrt(work / start) minimizes the pipeline's wall time.
-    Fused plan: when the probe counts the input exactly, the pool gets
-    n actors, the batch shrinks to give each actor one batch, and the
-    pool never outnumbers its batches; an input of unknown size gets
-    the cap.  Split plan: the sample's span work sizes the pool even
-    when the sample is not the whole input (a lower bound, so a long
-    input may want a larger ``cap``); the fold is one of the n actors,
+    Fused plan: when the probe counts the input exactly (always for a
+    parquet input: ``resolve_plan`` gives it the footers' count), the
+    pool gets n actors, the batch shrinks to give each actor one batch,
+    and the pool never outnumbers its batches; an input of unknown size
+    (JSONL/CSV or transformed, past the sample) gets the cap.  Split
+    plan: the sample's span work sizes the pool even when the sample
+    is not the whole input (a lower bound, so a long input may want a
+    larger ``cap``); the fold is one of the n actors,
     and ``batch_size`` is span rows per block, enough to cut the
     heaviest sampled document into one block per actor.
     """
@@ -288,38 +296,95 @@ def check_plan(plan: str | None) -> None:
             "'fused' and 'split' (or pass None/'auto' to probe)")
 
 
-def choose_plan(docs, *, ocr_latency_ms: float = 0.0, ocr_burn: int = 0,
-                with_probe: bool = False):
-    """Probe the first ``_SAMPLE_DOCS`` documents and return the plan:
-    ``"split"`` when the heaviest sampled document's modeled OCR time
-    (media spans × per-span cost) passes ``_SPLIT_DOC_S``, else
-    ``"fused"``.
+def _probe(spans, exact: bool) -> DocProbe:
+    """A sample's ``spans`` column (a list of structs with at least a
+    ``kind`` field) → ``DocProbe``; both sample sources end here."""
+    n = len(spans)
+    is_media = np.asarray(pc.equal(pc.struct_field(
+        pc.list_flatten(spans), "kind"), "media"))
+    per_doc = np.bincount(np.repeat(np.arange(n), np.asarray(
+        pc.list_value_length(spans).fill_null(0))),
+        weights=is_media, minlength=n)
+    media = int(per_doc.sum())
+    return DocProbe(n, exact, media / n if n else 0.0,
+                    int(per_doc.max()) if n else 0)
 
-    ``with_probe=True`` returns ``(plan, DocProbe)`` so the sample sizes
-    the actor pool (``ocr_pool``).
-    """
+
+def _parquet_probe(files: list[str]) -> DocProbe:
+    """Probe a parquet input on the driver, with no Ray execution: the
+    row count from the footers, and the first ``_SAMPLE_DOCS`` rows in
+    file order from the head row groups, reading only the spans'
+    ``kind`` leaf.  Each sampled file's footer schema goes through
+    ``validate_documents``, so a wrong schema raises the ``ValueError``
+    the read's validation map would."""
+    import pyarrow.parquet as pq
+
+    head, rows, total = [], 0, 0
+    for path in files:
+        with pq.ParquetFile(path) as f:
+            total += f.metadata.num_rows
+            if rows == _SAMPLE_DOCS:
+                continue
+            validate_documents(f.schema_arrow.empty_table())
+            # the leaf's path names the writer's list level
+            # ("spans.list.element.kind" or "spans.list.item.kind")
+            kind = [path for path in (f.schema.column(i).path
+                                      for i in range(len(f.schema)))
+                    if path.startswith("spans.") and path.endswith(".kind")]
+            if not kind:
+                raise ValueError(
+                    "documents column 'spans' has no 'kind' field")
+            for batch in f.iter_batches(batch_size=_SAMPLE_DOCS,
+                                        columns=kind[:1]):
+                head.append(batch.column(0).slice(0, _SAMPLE_DOCS - rows))
+                rows += len(head[-1])
+                if rows == _SAMPLE_DOCS:
+                    break
+    if not head:
+        return DocProbe(0, True, 0.0)
+    return _probe(pa.chunked_array(head), exact=rows == total)
+
+
+def _dataset_probe(docs) -> DocProbe:
+    """Probe any other Dataset with one Ray Data execution: its first
+    ``_SAMPLE_DOCS`` rows in input order.  ``preserve_order`` is set on
+    the Dataset's own context (shared along its chain, never the global
+    ``DataContext``) for this execution only, so the sample does not
+    depend on which blocks finish first."""
+    opts = docs.context.execution_options
+    ordered, opts.preserve_order = opts.preserve_order, True
     try:
         sample = docs.limit(_SAMPLE_DOCS).take_batch(
-            _SAMPLE_DOCS, batch_format="pyarrow"
-        )
+            _SAMPLE_DOCS, batch_format="pyarrow")
     except ValueError:
         # take_batch raises ValueError only for an exhausted/empty
         # dataset: nothing to probe.  Real read errors (corrupt
         # parquet, permissions) propagate.
-        sample = None
-    n = media = media_max = 0
-    if sample is not None:
-        spans = sample["spans"]
-        n = len(spans)
-        is_media = np.asarray(pc.equal(pc.struct_field(
-            pc.list_flatten(spans), "kind"), "media"))
-        per_doc = np.bincount(np.repeat(np.arange(n), np.asarray(
-            pc.list_value_length(spans).fill_null(0))),
-            weights=is_media, minlength=n)
-        media = int(per_doc.sum())
-        media_max = int(per_doc.max()) if n else 0
-    probe = DocProbe(n, n < _SAMPLE_DOCS, media / n if n else 0.0, media_max)
-    heavy_s = media_max * _span_ms(ocr_burn, ocr_latency_ms) / 1e3
+        return DocProbe(0, True, 0.0)
+    finally:
+        opts.preserve_order = ordered
+    spans = sample["spans"]
+    return _probe(spans, exact=len(spans) < _SAMPLE_DOCS)
+
+
+def choose_plan(docs, *, ocr_latency_ms: float = 0.0, ocr_burn: int = 0,
+                with_probe: bool = False):
+    """Probe the first ``_SAMPLE_DOCS`` documents in input order and
+    return the plan: ``"split"`` when the heaviest sampled document's
+    modeled OCR time (media spans × per-span cost) passes
+    ``_SPLIT_DOC_S``, else ``"fused"``.
+
+    The Dataset ``sources.io.read_documents`` returned over parquet
+    files is probed from their footers and head row groups on the
+    driver (``_parquet_probe``); any other Dataset (transformed,
+    in-memory, JSONL/CSV) with one ordered Ray Data execution
+    (``_dataset_probe``).  ``with_probe=True`` returns
+    ``(plan, DocProbe)`` so the sample sizes the actor pool
+    (``ocr_pool``).
+    """
+    files = parquet_files(docs)
+    probe = _dataset_probe(docs) if files is None else _parquet_probe(files)
+    heavy_s = probe.media_max * _span_ms(ocr_burn, ocr_latency_ms) / 1e3
     plan = "split" if heavy_s > _SPLIT_DOC_S else "fused"
     return (plan, probe) if with_probe else plan
 
@@ -329,11 +394,21 @@ def resolve_plan(docs, plan: str | None, *, ocr_latency_ms: float = 0.0,
     """The one place an extraction plan is decided: ``check_plan``, then
     the probe (``choose_plan``), then the override — a plan name
     replaces only the probe's choice, and its ``DocProbe`` still sizes
-    the pool.  Returns ``(plan name, DocProbe)``."""
+    the pool.  The fused plan's pool is sized from the whole input when
+    parquet footers count it (as ``state.runner`` sizes each
+    partition's); the split plan's from the sample's span work.
+    Returns ``(plan name, DocProbe)``."""
     check_plan(plan)
     chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
                                 ocr_burn=ocr_burn, with_probe=True)
-    return (plan if plan in PLANS else chosen), probe
+    plan = plan if plan in PLANS else chosen
+    files = parquet_files(docs)
+    if plan == "fused" and not probe.exact and files is not None:
+        import pyarrow.parquet as pq
+
+        probe = probe._replace(exact=True, docs=sum(
+            pq.read_metadata(f).num_rows for f in files))
+    return plan, probe
 
 
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import sys
 import types
+import weakref
 
 from ..schema import validate_documents
 
@@ -50,6 +51,21 @@ def _has_lance() -> bool:
         return True
     except ImportError:
         return False
+
+
+# parquet Dataset returned by ``read_documents_files`` → the files it
+# reads, in order; keyed weakly (a ``Dataset`` hashes by identity), so
+# any transformed Dataset — a new object — is not found
+_PARQUET_FILES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def parquet_files(ds) -> list[str] | None:
+    """The parquet files ``read_documents``/``read_documents_files`` read
+    into exactly this Dataset object, in input order; ``None`` for any
+    other Dataset (a transformed one, ``from_arrow``, JSONL/CSV/Lance).
+    Ray's own ``Dataset.input_files()`` is empty after the validation
+    map."""
+    return _PARQUET_FILES.get(ds)
 
 
 def list_input_files(input_path: str) -> list[str]:
@@ -119,6 +135,8 @@ def read_documents_files(files: list[str], *, validate: bool = True,
             return batch
 
         ds = ds.map_batches(_check, batch_format="pyarrow", zero_copy_batch=True)
+    if files and files[0].endswith(".parquet"):
+        _PARQUET_FILES[ds] = list(files)
     return ds
 
 

@@ -172,6 +172,145 @@ def test_choose_plan_keeps_a_uniform_sample_fused(ray_session):
     assert plan == "fused" and probe.media_max == 15
 
 
+def _heavy_at(row: int, n: int = 1024) -> pa.Table:
+    """``n`` light documents (0 or 1 media span) with a 260-media one at
+    ``row``, the benchmark's skew shape."""
+    return _table([_doc(f"d{i:04d}", 260 if i == row else i % 2)
+                   for i in range(n)])
+
+
+def _no_ray_execution(monkeypatch) -> None:
+    def refuse(*a, **kw):
+        raise AssertionError("the probe ran a Ray Data execution")
+
+    monkeypatch.setattr(rd.Dataset, "take_batch", refuse)
+
+
+def test_parquet_probe_reads_the_head_in_file_order_without_ray(
+        ray_session, tmp_path, monkeypatch):
+    """The probe of a ``read_documents`` parquet input comes from the
+    footers and head row groups on the driver: the same sample every
+    call (the first 512 rows, holding the heavy document at row 300
+    behind 64-row row groups), and no Ray Data execution."""
+    table = _heavy_at(300)
+    pq.write_table(table, str(tmp_path / "part-00000.parquet"),
+                   row_group_size=64)
+    media = sum(s["kind"] == "media" for r in
+                table.slice(0, 512).column("spans").to_pylist() for s in r)
+    _no_ray_execution(monkeypatch)
+    for _ in range(5):
+        assert choose_plan(read_documents(str(tmp_path)), ocr_latency_ms=20.0,
+                           with_probe=True) \
+            == ("split", DocProbe(512, False, media / 512, 260))
+
+
+def test_parquet_probe_counts_every_file_and_samples_across_them(
+        ray_session, tmp_path, monkeypatch):
+    """Three 200-row files: the sample is files 1-2 and the first 112
+    rows of file 3, so a heavy document at input row 450 is in it and
+    one at row 550 is not; a 512-row input is counted exact."""
+    _no_ray_execution(monkeypatch)
+    for row, heavy in ((450, 260), (550, 1)):
+        src = tmp_path / f"h{row}"
+        src.mkdir()
+        table = _heavy_at(row, 600)
+        for i in range(3):
+            pq.write_table(table.slice(200 * i, 200),
+                           str(src / f"part-{i}.parquet"))
+        _, probe = choose_plan(read_documents(str(src)), with_probe=True)
+        assert (probe.docs, probe.exact, probe.media_max) == (512, False,
+                                                               heavy)
+    pq.write_table(_heavy_at(0, 512), str(tmp_path / "exact.parquet"))
+    _, probe = choose_plan(read_documents(str(tmp_path / "exact.parquet")),
+                           with_probe=True)
+    assert (probe.docs, probe.exact) == (512, True)
+
+
+def test_footer_probe_applies_only_to_the_dataset_read_documents_returned(
+        ray_session, tmp_path):
+    """A transformed Dataset is a new object: it is probed by the Ray
+    sample (``take_batch`` runs), which sees its rows, not the files'."""
+    pq.write_table(_heavy_at(300), str(tmp_path / "part-00000.parquet"))
+    _, probe = choose_plan(read_documents(str(tmp_path)).limit(10),
+                           with_probe=True)
+    assert (probe.docs, probe.exact) == (10, True)
+
+
+def test_jsonl_probe_samples_the_head_in_input_order(ray_session, tmp_path,
+                                                     monkeypatch):
+    """JSONL takes the Ray sample path, in input order: the block holding
+    the heavy document (row 300) finishing last does not drop it from
+    the sample, and the Dataset's own ordering setting is restored."""
+    import json
+    import time
+
+    src = tmp_path / "in"
+    src.mkdir()
+    rows = _heavy_at(300).to_pylist()
+    for i in range(8):      # one read task per 128-row file
+        with open(src / f"part-{i}.jsonl", "w") as f:
+            f.writelines(json.dumps(r) + "\n"
+                         for r in rows[128 * i:128 * (i + 1)])
+    calls = []
+    take_batch = rd.Dataset.take_batch
+
+    def spy(self, *a, **kw):
+        calls.append(self)
+        return take_batch(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "take_batch", spy)
+
+    def slow_heavy_block(batch: pa.Table) -> pa.Table:
+        if "d0300" in batch.column("doc_id").to_pylist():
+            time.sleep(1.0)
+        return batch
+
+    docs = read_documents(str(src)).map_batches(
+        slow_heavy_block, batch_format="pyarrow", batch_size=None)
+    plan, probe = choose_plan(docs, ocr_latency_ms=20.0, with_probe=True)
+    assert calls and (plan, probe.docs, probe.media_max) == ("split", 512,
+                                                             260)
+    assert docs.context.execution_options.preserve_order is False
+
+
+def test_mistyped_parquet_spans_fail_before_any_pipeline_runs(
+        ray_session, tmp_path, monkeypatch):
+    """The footer probe validates each sampled file's schema: a ``spans``
+    column of strings, or of lists without a ``kind`` field, raises
+    ``ValueError`` from ``auto_pipeline`` before a plan is built or
+    anything runs on Ray."""
+    _no_ray_execution(monkeypatch)
+
+    def refuse(*a, **kw):
+        raise AssertionError("a pipeline was built")
+
+    for name in px.PLANS:
+        monkeypatch.setitem(px.PLANS, name, refuse)
+    for i, (spans, error) in enumerate((
+            (["x", "y"], "'spans' has type string"),
+            ([["x"], ["y"]], "'spans' has no 'kind' field"))):
+        src = tmp_path / f"bad{i}"
+        src.mkdir()
+        pq.write_table(pa.table({"doc_id": ["a", "b"], "spans": spans}),
+                       str(src / "part-00000.parquet"))
+        with pytest.raises(ValueError, match=error):
+            auto_pipeline(read_documents(str(src)))
+
+
+def test_fused_pool_over_a_long_parquet_input_is_sized_from_its_footers(
+        ray_session, tmp_path):
+    """Past the 512-doc sample, ``resolve_plan`` gives the fused plan the
+    footers' count (an exact probe, so ``ocr_pool`` sizes the pool from
+    the work instead of giving it the actor cap); the split plan keeps
+    the sample."""
+    pq.write_table(_heavy_at(300), str(tmp_path / "part-00000.parquet"))
+    ds = read_documents(str(tmp_path))
+    plan, probe = px.resolve_plan(ds, "fused", ocr_latency_ms=20.0)
+    assert (plan, probe.docs, probe.exact) == ("fused", 1024, True)
+    plan, probe = px.resolve_plan(ds, None, ocr_latency_ms=20.0)
+    assert (plan, probe.docs, probe.exact) == ("split", 512, False)
+
+
 # --- the plan on Ray ------------------------------------------------------
 def test_split_pipeline_matches_oracle(ray_session):
     table = synth.gen_table(200, seed=42)    # holds 230-media documents

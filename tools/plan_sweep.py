@@ -9,7 +9,9 @@ each M and plan the script runs the job the benchmark runs (read, probe,
 the plan's pipeline sized from the probe as ``auto_pipeline`` does,
 drain block by block), checks
 every document against ``oracle.py`` and prints one JSON line: wall
-time, docs/s and time to the first output block.  Each configuration
+time, docs/s and time to the first output block.  When both plans ran,
+one more line per M gives the regret of the plan the probe picks,
+T(chosen) / T(best) - 1, by median wall time.  Each configuration
 runs one unreported job first, so no timed job follows another plan's
 pool.
 
@@ -29,6 +31,7 @@ import gc
 import itertools
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -62,13 +65,13 @@ def heavy_corpus(media: int, seed: int, docs: int):
 
 
 def run_job(path: str, plan: str, latency_ms: float, actors, rows) -> tuple:
-    """What ``auto_pipeline`` does once the probe has picked ``plan``."""
+    """What ``auto_pipeline(plan=plan)`` does: probe, size the pool."""
     from ollama_ocr_ray.pipelines import extract as px
     from ollama_ocr_ray.sources.io import read_documents
 
     t0 = time.perf_counter()
     ds = read_documents(path)
-    _, probe = px.choose_plan(ds, ocr_latency_ms=latency_ms, with_probe=True)
+    _, probe = px.resolve_plan(ds, plan, ocr_latency_ms=latency_ms)
     pool = px.ocr_pool(probe, ocr_latency_ms=latency_ms, plan=plan)
     pool = pool._replace(actors=actors or pool.actors,
                          batch_size=rows or pool.batch_size)
@@ -95,7 +98,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--docs", type=int, default=1024,
                     help="512 or fewer: the probe's sample is the whole "
-                         "input, and the fused pool is sized from it")
+                         "input (either way the footers count it, and "
+                         "the fused pool is sized from that count)")
     ap.add_argument("--actors", type=int, nargs="+", default=[None])
     ap.add_argument("--rows", type=int, nargs="+", default=[None])
     ap.add_argument("--cpus", type=int,
@@ -107,7 +111,7 @@ def main() -> int:
     import ray.data as rd
 
     from ollama_ocr_ray import oracle
-    from ollama_ocr_ray.pipelines import auto_pipeline
+    from ollama_ocr_ray.pipelines import auto_pipeline, choose_plan
     from ollama_ocr_ray.sources.io import read_documents
 
     work = tempfile.mkdtemp(prefix="plan-sweep-")
@@ -128,6 +132,9 @@ def main() -> int:
             for _ in auto_pipeline(read_documents(warm))[1].iter_batches(
                     batch_size=None):
                 pass
+            chosen = choose_plan(read_documents(path),
+                                 ocr_latency_ms=args.latency_ms)
+            walls = {}
             configs = [("fused", None, None)] if "fused" in args.plans else []
             if "split" in args.plans:
                 configs += [("split", a, k) for a, k in itertools.product(
@@ -139,16 +146,28 @@ def main() -> int:
                 gc.collect()
                 wall, first, tables = run_job(
                     path, plan, args.latency_ms, actors, rows)
+                if rep >= 0 and actors is None and rows is None:
+                    walls.setdefault(plan, []).append(wall)
                 if rep >= 0:
                     got = spans_of(tables)
                     bad = sum(got.get(d) != v for d, v in expected.items())
                     print(json.dumps({
-                        "media": media, "plan": plan, "actors": actors,
+                        "media": media, "plan": plan, "chosen": chosen,
+                        "actors": actors,
                         "rows": rows, "rep": rep, "wall_s": round(wall, 3),
                         "docs_per_s": round(table.num_rows / wall, 1),
                         "first_output_s": round(first or wall, 3),
                         "bad_docs": bad + len(set(got) - set(expected)),
                     }), flush=True)
+            if chosen in walls and len(walls) > 1:
+                # the probe's choice against the best plan, by median
+                # (plans on their own pool rule, not pinned ones)
+                med = {p: statistics.median(w) for p, w in walls.items()}
+                print(json.dumps({
+                    "media": media, "chosen": chosen,
+                    "median_wall_s": {p: round(w, 3) for p, w in med.items()},
+                    "regret": round(med[chosen] / min(med.values()) - 1, 3),
+                }), flush=True)
     finally:
         ray.shutdown()
     return 0
