@@ -299,7 +299,7 @@ def _word_shingle_set(text: str, k: int) -> set:
 
 
 def minhash_dup_pairs(docs, *, threshold: float = 0.8, num_perm: int = 64,
-                      bands: int = 16, shingle_k: int = 3, concurrency=None):
+                      bands: int = 16, shingle_k: int = 3):
     """documents Dataset → near-duplicate pairs (a_id, b_id, jaccard) by
     EXACT word-k-shingle Jaccard, with word-shingle MinHash banding as
     the candidate generator (shingle → minhash → band → bucket →
@@ -318,17 +318,15 @@ def minhash_dup_pairs(docs, *, threshold: float = 0.8, num_perm: int = 64,
     corpus's output deterministic (pinned vs the oracle in selfcheck).
 
     The hasher state is two 64-element arrays drawn from a fixed seed,
-    so by default the signature stage runs as a TASK pool (the instance
-    ships with the task — no actor-pool ramp, every CPU usable at
-    once; round 1's (1,8) actor pool capped the stage at 8 workers).
-    Pass ``concurrency`` to pin an actor pool instead.
+    so the signature stage runs as a TASK pool (the instance ships
+    with the task — no actor-pool ramp, every CPU usable at once;
+    round 1's (1,8) actor pool capped the stage at 8 workers).
     """
     band_rows = _lsh_band_rows(
         docs,
         lambda: MinHashLSH(num_perm=num_perm, bands=bands,
                            shingle_k=shingle_k),
         bands=bands,
-        concurrency=concurrency,
     )
     return _lsh_exact_pairs(
         docs, band_rows, lambda t: _word_shingle_set(t, shingle_k), threshold
@@ -422,15 +420,13 @@ def _simhash_pairs_block(batch: pa.Table, max_hamming: int) -> pa.Table:
     )
 
 
-def simhash_dup_pairs(docs, *, max_hamming: int = 3, concurrency=None):
+def simhash_dup_pairs(docs, *, max_hamming: int = 3):
     """documents Dataset → (a_id, b_id, hamming) pairs with SimHash
     Hamming distance ≤ max_hamming (banding guarantees recall for ≤ 3
     differing bits across 4 bands by pigeonhole).
 
-    Task pool by default (the hasher vectorizes over each batch's
-    unique tokens, so there is no warm-up state worth pinning); pass
-    ``concurrency`` for a pinned actor pool anyway when the stage
-    should be isolated from task-dispatch churn.
+    Task pool (the hasher vectorizes over each batch's unique tokens,
+    so there is no warm-up state worth pinning).
 
     Bucket folds run through ``folds.exact_segment_fold`` (round-4
     hardening): a hot band value split across sorted blocks would
@@ -440,12 +436,7 @@ def simhash_dup_pairs(docs, *, max_hamming: int = 3, concurrency=None):
 
     from .folds import exact_segment_fold
 
-    if concurrency is None:
-        hashed = docs.map_batches(SimHasher(), batch_format="pyarrow")
-    else:
-        hashed = docs.map_batches(
-            SimHasher, batch_format="pyarrow", concurrency=concurrency
-        )
+    hashed = docs.map_batches(SimHasher(), batch_format="pyarrow")
     bands = hashed.map_batches(_simhash_band_rows, batch_format="pyarrow")
     band_schema = pa.schema(
         [("doc_id", pa.int64()), ("band_id", pa.int32()),
@@ -489,7 +480,7 @@ def band_buckets(sigs: np.ndarray, bands: int) -> np.ndarray:
     return (acc & np.uint64((1 << 62) - 1)).astype(np.int64)
 
 
-def _lsh_band_rows(docs, make_hasher, *, bands: int, concurrency=None):
+def _lsh_band_rows(docs, make_hasher, *, bands: int):
     """documents Dataset → (bucket, doc_id) LSH band rows for any
     MinHash-family hasher (word shingles, char k-grams, ...).
 
@@ -539,15 +530,11 @@ def _lsh_band_rows(docs, make_hasher, *, bands: int, concurrency=None):
                 }
             )
 
-    if concurrency is None:
-        # task pool: hasher params are two tiny seeded arrays, no ramp
-        return docs.map_batches(SigRows(), batch_format="pyarrow")
-    return docs.map_batches(SigRows, batch_format="pyarrow",
-                            concurrency=concurrency)
+    # task pool: hasher params are two tiny seeded arrays, no ramp
+    return docs.map_batches(SigRows(), batch_format="pyarrow")
 
 
-def ngram_band_rows(docs, *, k: int = 9, num_perm: int = 64, bands: int = 16,
-                    concurrency=None):
+def ngram_band_rows(docs, *, k: int = 9, num_perm: int = 64, bands: int = 16):
     """documents Dataset → (bucket, doc_id) LSH band rows over
     character-k-gram MinHash signatures (see ``_lsh_band_rows``)."""
 
@@ -609,7 +596,7 @@ def ngram_band_rows(docs, *, k: int = 9, num_perm: int = 64, bands: int = 16,
     return _lsh_band_rows(docs,
                           lambda: CharMinHash(num_perm=num_perm,
                                               bands=bands),
-                          bands=bands, concurrency=concurrency)
+                          bands=bands)
 
 
 # Loud bound on exact all-pairs generation per LSH bucket (r5): a
@@ -842,8 +829,7 @@ def _lsh_exact_pairs(docs, band_rows, shingle_set, threshold: float):
 
 
 def ngram_dup_pairs(docs, *, k: int = 9, threshold: float = 0.5,
-                    num_perm: int = 64, bands: int = 16,
-                    concurrency=None):
+                    num_perm: int = 64, bands: int = 16):
     """Near-dup pairs by EXACT character-k-gram Jaccard, with MinHash
     banding as the candidate generator (plan: ``_lsh_exact_pairs``).
 
@@ -851,8 +837,7 @@ def ngram_dup_pairs(docs, *, k: int = 9, threshold: float = 0.5,
     every document, so signatures collide corpus-wide and bucket verify
     degenerates quadratic (measured: 400+s vs ~5s at sf0.1).
     """
-    band_rows = ngram_band_rows(docs, k=k, num_perm=num_perm, bands=bands,
-                                concurrency=concurrency)
+    band_rows = ngram_band_rows(docs, k=k, num_perm=num_perm, bands=bands)
     return _lsh_exact_pairs(
         docs, band_rows,
         lambda t: {t[j:j + k] for j in range(max(1, len(t) - k + 1))},

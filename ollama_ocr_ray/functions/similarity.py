@@ -244,17 +244,15 @@ class HyperplaneLSH:
 
 
 def lsh_ann(embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
-            dim: int, k: int = 10, n_planes: int = 6, multiprobe: int = 2,
-            concurrency=None):
+            dim: int, k: int = 10, n_planes: int = 6, multiprobe: int = 2):
     """Approximate top-k: bucket vectors by hyperplane LSH, search only
     buckets within ``multiprobe`` bit flips of each query's bucket,
     exact-rerank candidates.  Recall measured in tests vs knn_cosine.
 
-    By default the bucketing stage runs as a TASK pool — the hasher
-    state is one seeded (dim x n_planes) matrix that ships with the
-    task, so there is no actor-pool ramp (a (1,4) autoscaling pool kept
-    this stage at ~1-2 workers on short jobs, BASELINE.md).  Pass
-    ``concurrency`` to pin an actor pool (e.g. a learned quantizer)."""
+    The bucketing stage runs as a TASK pool — the hasher state is one
+    seeded (dim x n_planes) matrix that ships with the task, so there
+    is no actor-pool ramp (a (1,4) autoscaling pool kept this stage at
+    ~1-2 workers on short jobs, BASELINE.md)."""
     lsh = HyperplaneLSH(dim, n_planes)
     qn = _normalize(query_matrix.astype(np.float64))
     q_buckets = lsh.bucket_of(qn)
@@ -271,18 +269,10 @@ def lsh_ann(embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
         probe_sets.append(probes)
     all_buckets = set().union(*probe_sets)
 
-    if concurrency is None:
-        bucketed = embeddings.map_batches(
-            HyperplaneLSH(dim=dim, n_planes=n_planes),
-            batch_format="pyarrow",
-        )
-    else:
-        bucketed = embeddings.map_batches(
-            HyperplaneLSH,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            fn_constructor_kwargs={"dim": dim, "n_planes": n_planes},
-        )
+    bucketed = embeddings.map_batches(
+        HyperplaneLSH(dim=dim, n_planes=n_planes),
+        batch_format="pyarrow",
+    )
 
     def partials(batch: pa.Table) -> pa.Table:
         batch = batch.combine_chunks()

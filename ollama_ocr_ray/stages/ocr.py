@@ -43,6 +43,16 @@ from ..spec import (CORRUPT_SUFFIX, ERROR_TEXT, mock_transcript,
                     mode_transcript, resolve_policy)
 
 
+class MediaPayload(bytes):
+    """Store-resolved media bytes that keep their ``media_ref`` (read by
+    ``stages.routing.RouterModel``'s file-name keywords)."""
+
+    def __new__(cls, data, ref: str):
+        self = super().__new__(cls, data)
+        self.ref = ref
+        return self
+
+
 class OcrModel:
     """Callable-class stage: __init__ once per actor, __call__ per batch."""
 
@@ -78,10 +88,11 @@ class OcrModel:
         # ``model`` is the real-engine adapter seam (the typed analog of
         # the engine dispatch at ``ocr_router.py:177-217``): a batched
         # callable ``payloads -> one transcript per payload``, where a
-        # payload is the media bytes when ``media_store`` resolves the
-        # ref, else the ref string.  Inject a TrOCR/Ollama/Tesseract
-        # wrapper here to swap mock for real inference as pure config;
-        # ``None`` keeps the deterministic mock-policy contract.
+        # payload is the ``MediaPayload`` bytes when ``media_store``
+        # resolves the ref, else the ref string.  Inject a
+        # TrOCR/Ollama/Tesseract wrapper here to swap mock for real
+        # inference as pure config; ``None`` keeps the deterministic
+        # mock-policy contract.
         self.model = model
         self._warm = mock_transcript("media://warmup/0")
         # per-actor resource sampling (reference's per-call GPU/resource
@@ -157,8 +168,8 @@ class OcrModel:
             status.append("ok")
             keys.append(key)
             payloads.append(
-                self.resolve_media(ref) if self.media_store is not None
-                else ref
+                MediaPayload(self.resolve_media(ref), ref)
+                if self.media_store is not None else ref
             )
         return status, keys, payloads
 

@@ -20,10 +20,11 @@ Here that becomes two seam-compatible pieces:
   analog ``line_score`` below (no cv2 in this stack).
 - ``RouterModel``: an engine adapter behind the ``OcrModel(model=...)``
   seam that dispatches each payload to a printed or handwriting inner
-  engine per the same heuristic, batching each inner engine's calls
-  (payload bytes -> pixel stats; ref strings -> keyword else the
-  handwriting default, mirroring the reference's unreadable-image
-  branch).
+  engine per the same heuristic, batching each inner engine's calls:
+  the ref's basename keywords first (a ref string, or the ``ref`` a
+  store-resolved ``stages.ocr.MediaPayload`` carries), then payload
+  bytes -> pixel stats, else the handwriting default (the reference's
+  unreadable-image branch).
 
 ``line_score`` is a deliberate, documented analog — not a Canny/Hough
 port: a gradient-magnitude edge map (threshold 50, the reference's low
@@ -186,13 +187,17 @@ class RouterModel:
         self.decode = decode if decode is not None else _decode_image
 
     def route_one(self, payload) -> str:
-        if isinstance(payload, (bytes, bytearray)):
-            try:
-                arr = np.asarray(self.decode(payload))
-            except Exception:
-                return ROUTE_HANDWRITING   # ocr_router.py:168 fallback
-            return route_payload(arr, line_threshold=self.line_threshold)
-        return keyword_route(str(payload)) or ROUTE_HANDWRITING
+        if not isinstance(payload, (bytes, bytearray)):
+            return keyword_route(str(payload)) or ROUTE_HANDWRITING
+        # a store-resolved payload keeps its ref: keywords come first
+        route = keyword_route(getattr(payload, "ref", ""))
+        if route is not None:
+            return route
+        try:
+            arr = np.asarray(self.decode(payload))
+        except Exception:
+            return ROUTE_HANDWRITING   # ocr_router.py:168 fallback
+        return route_payload(arr, line_threshold=self.line_threshold)
 
     def __call__(self, payloads: list) -> list[str]:
         routes = [self.route_one(p) for p in payloads]

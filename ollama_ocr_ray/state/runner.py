@@ -15,9 +15,10 @@ redoes only what is missing (SURVEY.md §4.3).
 What a partition's future runs depends on the work:
 
 - **extract** (``run_extract``): a thread runs the partition's
-  extraction pipeline as its own internally-parallel Dataset execution
-  (one actor-pool stage that extracts and reassembles each batch of
-  documents); ``wave`` partitions run at once so the cluster stays
+  extraction pipeline as its own internally-parallel Dataset execution,
+  decided exactly as ``pipelines.extract.auto_pipeline`` decides for any
+  Dataset: the partition's own probe picks its plan and sizes its one
+  pool; ``wave`` partitions run at once so the cluster stays
   saturated.
 - **prep / curate annotate, export pack**: the per-partition work is a
   map-only pass whose parallelism unit IS the partition, so each runs
@@ -89,11 +90,20 @@ def _task_futures(fn, manifest: Manifest, sources: dict, *args) -> dict:
 
 
 def _partition_metrics(part_dir: str) -> dict:
+    """A written partition's record metrics; a ``doc_id`` on two output
+    rows (a repeat across fused batches) raises ``ValueError``."""
+    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     stats = pads.dataset(part_dir).to_table(
-        columns=["chars", "n_spans", "n_errors", "ocr_ms"]
+        columns=["doc_id", "chars", "n_spans", "n_errors", "ocr_ms"]
     )
+    counts = stats.column("doc_id").value_counts()
+    if len(counts) < stats.num_rows:
+        dup = counts.field("values").filter(
+            pc.greater(counts.field("counts"), 1))[0]
+        raise ValueError(f"duplicate doc_id {dup.as_py()!r} in the "
+                         "partition's output; doc_id must be unique")
     ocr_ms = stats.column("ocr_ms").to_numpy()
     ocr_pos = ocr_ms[ocr_ms > 0]
     return {
@@ -139,8 +149,7 @@ def _run_partition(
     input_file: str,
     manifest: Manifest,
     *,
-    plan: str,
-    probe,
+    plan: str | None,
     pipelines: int,
     ocr_burn: int,
     ocr_latency_ms: float,
@@ -150,21 +159,19 @@ def _run_partition(
     metrics_sink=None,
 ) -> dict:
     """Extract one partition into its staging dir and return its record
-    (``_commit_each`` commits it).  The partition's pool is sized by ONE
-    ``ocr_pool`` call: the job's probe scaled to this partition, capped
-    at ``ocr_concurrency`` and at its share among ``pipelines``
-    partitions running at once.  A partition whose output holds fewer
-    documents than its parquet input raises."""
+    (``_commit_each`` commits it), with the ``plan`` it ran, decided as
+    ``auto_pipeline`` decides on the partition's file: ``resolve_plan``,
+    then ONE ``ocr_pool`` call, capped at ``ocr_concurrency`` and at its
+    share among ``pipelines`` partitions running at once.  Output short
+    of a known input count (parquet footer or exact probe) raises."""
     ds = read_documents_files([input_file])
-    n_in = None
-    if input_file.endswith(".parquet"):
+    plan, probe = px.resolve_plan(ds, plan, ocr_latency_ms=ocr_latency_ms,
+                                  ocr_burn=ocr_burn)
+    n_in = probe.docs if probe.exact else None
+    if n_in is None and input_file.endswith(".parquet"):
         import pyarrow.parquet as pq
 
-        n_in = pq.ParquetFile(input_file).metadata.num_rows
-    # the job's media-per-doc sample, scaled to this partition's exact
-    # doc count when its footer says it (parquet)
-    probe = (probe._replace(docs=n_in, exact=True) if n_in is not None
-             else probe._replace(exact=False))
+        n_in = pq.read_metadata(input_file).num_rows
     pool = px.ocr_pool(probe, ocr_burn=ocr_burn,
                        ocr_latency_ms=ocr_latency_ms, cap=ocr_concurrency,
                        pipelines=pipelines, plan=plan)
@@ -185,6 +192,7 @@ def _run_partition(
     record = {
         "input_file": os.path.abspath(input_file),
         "input_fingerprint": partition_fingerprint(input_file),
+        "plan": plan,
         **_partition_metrics(tmp_dir),
     }
     if n_in is not None and record["docs"] != n_in:
@@ -608,17 +616,17 @@ def run_extract(
 
     Returns a summary: partitions done/skipped and aggregate metrics.
     ``max_partitions`` bounds how many pending partitions run (the
-    kill-simulation hook for resume tests).  Each partition gets a
-    fixed actor pool sized by ``ocr_pool`` from its doc count and the
-    job's probe, capped at ``ocr_concurrency`` actors and at its share
-    of the cluster among the ``wave`` partitions running at once.
-    ``plan`` goes through ``pipelines.extract.resolve_plan``: ``"auto"``
-    (or ``None``) takes the plan ``choose_plan`` picks from a sample of
-    the first input file, and the summary reports the plan that ran
-    (the one asked for when no partition was pending).  A partition
-    whose output holds fewer documents than its parquet input is not
-    committed; the others still commit, and the run then raises once
-    for every failed partition (``_commit_each``).
+    kill-simulation hook for resume tests).  Every partition decides
+    its plan (``plan`` overrides only the choice) and its one fixed
+    actor pool from its own probe, as ``auto_pipeline`` does, capped at
+    ``ocr_concurrency`` actors and at its share of the cluster among the
+    ``wave`` partitions running at once.  The summary's ``plan`` is the
+    plans the partitions ran, sorted and joined with ``+`` (the one
+    asked for when none was pending).  A partition whose output holds
+    fewer documents than its counted input, or a ``doc_id`` twice, is
+    not committed; the others still commit, and the run then raises
+    once for every failed partition (``_commit_each``).  A ``doc_id``
+    shared by two input files is still not detected.
     """
     px.check_plan(plan)
     files = _input_files(input_path)
@@ -628,16 +636,10 @@ def run_extract(
     todo = manifest.pending(fps, max_partitions)
     done = []
     if todo:
-        # one probe per job: it picks the plan (as ``auto_pipeline``
-        # does) and its sample sizes every partition's pool
         from .metrics import make_sink
 
-        plan, probe = px.resolve_plan(read_documents_files([files[0]]),
-                                      plan, ocr_latency_ms=ocr_latency_ms,
-                                      ocr_burn=ocr_burn)
         kwargs = dict(
             plan=plan,
-            probe=probe,
             pipelines=max(1, min(wave, len(todo))),
             ocr_burn=ocr_burn,
             ocr_latency_ms=ocr_latency_ms,
@@ -668,7 +670,7 @@ def run_extract(
         "docs": sum(r["docs"] for r in done),
         "spans_out": sum(r["spans_out"] for r in done),
         "errors": sum(r["errors"] for r in done),
-        "plan": plan,
+        "plan": "+".join(sorted({r["plan"] for r in done})) or plan,
         "output_dir": output_dir,
     }
 

@@ -63,8 +63,7 @@ def test_minhash_finds_planted_near_dups(ray_session):
         {"doc_id": 40, "text": base},  # exact dup
     ]
     out = _collect(
-        dedup.minhash_dup_pairs(rd.from_items(rows), threshold=0.5,
-                                concurrency=1)
+        dedup.minhash_dup_pairs(rd.from_items(rows), threshold=0.5)
     ).to_pylist()
     pairs = {(r["a_id"], r["b_id"]) for r in out}
     assert (10, 40) in pairs          # exact dup: jaccard 1.0
@@ -94,8 +93,7 @@ def test_simhash_near_identical_pair(ray_session):
     near_hamming = dedup.hamming64(sh.simhash(base), sh.simhash(near))
     out = _collect(
         dedup.simhash_dup_pairs(rd.from_items(rows),
-                                max_hamming=max(3, near_hamming),
-                                concurrency=1)
+                                max_hamming=max(3, near_hamming))
     ).to_pylist()
     pairs = {(r["a_id"], r["b_id"]): r["hamming"] for r in out}
     assert pairs.get((1, 2)) == 0
@@ -175,7 +173,7 @@ def test_lsh_ann_recall(ray_session):
     ds = rd.read_parquet(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
     exact = _collect(similarity.knn_cosine(ds, qm, qids, k=10)).to_pylist()
     approx = _collect(
-        similarity.lsh_ann(ds, qm, qids, dim=mat.shape[1], k=10, concurrency=1)
+        similarity.lsh_ann(ds, qm, qids, dim=mat.shape[1], k=10)
     ).to_pylist()
     ex = {(r["q_id"], r["vec_id"]) for r in exact}
     ap = {(r["q_id"], r["vec_id"]) for r in approx}

@@ -74,7 +74,6 @@ def test_dead_sink_degrades_not_fails(ray_session, tmp_path):
     import ray
 
     from ollama_ocr_ray import synth
-    from ollama_ocr_ray.pipelines.extract import DocProbe
     from ollama_ocr_ray.state import metrics
     from ollama_ocr_ray.state.runner import _run_partition
     from ollama_ocr_ray.state.manifest import Manifest
@@ -91,9 +90,8 @@ def test_dead_sink_degrades_not_fails(ray_session, tmp_path):
     out = str(tmp_path / "out")
     os.makedirs(out, exist_ok=True)
     rec = _run_partition(
-        0, f0, Manifest(out), plan="fused", probe=DocProbe(0, False, 0.0),
-        pipelines=1, ocr_burn=0, ocr_latency_ms=0, ocr_concurrency=1,
-        policy="text", metrics_sink=sink,
+        0, f0, Manifest(out), plan="fused", pipelines=1, ocr_burn=0,
+        ocr_latency_ms=0, ocr_concurrency=1, policy="text", metrics_sink=sink,
     )
     assert rec["docs"] > 0
     assert rec["resources"]["samples"] == 0

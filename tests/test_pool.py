@@ -160,12 +160,18 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
     """``auto_pipeline``, on any plan, and ``run_extract`` size every
     pool from the probe; ``run_extract`` sizes each partition's pool in
     ONE call, from the footer-exact count, sharing the CPUs over the
-    partitions that run at once."""
+    partitions that run at once.  Each partition decides as
+    ``auto_pipeline`` decides on its file alone, so a JSONL partition
+    within the sample is counted exactly, its pool is sized from its
+    work, and a lossy plan on it is refused."""
+    import json
+
     import pyarrow.parquet as pq
 
     from ollama_ocr_ray import synth
     from ollama_ocr_ray.pipelines.extract import auto_pipeline
-    from ollama_ocr_ray.sources.io import read_documents
+    from ollama_ocr_ray.sources.io import read_documents, read_documents_files
+    from ollama_ocr_ray.state.manifest import Manifest
     from ollama_ocr_ray.state.runner import run_extract
 
     calls = []
@@ -193,3 +199,39 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
     for probe, kw in calls:
         assert isinstance(probe, DocProbe) and probe.exact
         assert probe.docs == 8 and kw["pipelines"] == 2
+
+    def decisions(run) -> list:
+        calls.clear()
+        run()
+        return [(kw["plan"], pool_rule(probe, **kw)) for probe, kw in calls]
+
+    files = sorted(str(f) for f in src.iterdir())
+    assert decisions(lambda: run_extract(
+        str(src), str(tmp_path / "wave1"), ocr_latency_ms=1.0, wave=1)) \
+        == decisions(lambda: [auto_pipeline(read_documents_files([f]),
+                                            ocr_latency_ms=1.0)
+                              for f in files])
+
+    jsonl = tmp_path / "jsonl"
+    jsonl.mkdir()
+    rows = table.to_pylist()
+    for i in range(2):
+        with open(jsonl / f"part-{i}.jsonl", "w") as f:
+            f.writelines(json.dumps(r) + "\n" for r in rows[8 * i:8 * i + 8])
+    calls.clear()
+    s = run_extract(str(jsonl), str(tmp_path / "jout"), ocr_latency_ms=1.0,
+                    wave=2)
+    assert s["docs"] == 16 and len(calls) == 2
+    for probe, kw in calls:
+        assert probe.exact and probe.docs == 8
+        assert pool_rule(probe, **kw).actors \
+            < pool_rule(probe._replace(exact=False), **kw).actors
+    fused, lost = px.PLANS["fused"], rows[0]["doc_id"]
+    monkeypatch.setitem(px.PLANS, "fused", lambda ds, pool, **kw: fused(
+        ds, pool, **kw).filter(lambda r: r["doc_id"] != lost))
+    with pytest.raises(RuntimeError, match="extracted 7 of 8 documents"):
+        run_extract(str(jsonl), str(tmp_path / "lossy"), plan="fused",
+                    ocr_latency_ms=1.0, wave=2)
+    committed = Manifest(str(tmp_path / "lossy")).records()
+    assert [r["input_file"] for r in committed] \
+        == [str(jsonl / "part-1.jsonl")]

@@ -208,6 +208,36 @@ def test_router_model_dispatch_two_engines():
     assert out[1] == DemoHashModel.transcribe(b"P", "PRN")
 
 
+def test_router_reads_the_ref_keyword_before_store_pixels():
+    """With a media store every payload is bytes, yet the ref's file
+    name keywords still come first (``ocr_router.py:131-137``): a flat
+    image under ``receipt_0`` goes to the printed engine, as the
+    vectorized route column and the oracle say."""
+    from ollama_ocr_ray import oracle
+    from ollama_ocr_ray.schema import DOCUMENTS_SCHEMA
+    from ollama_ocr_ray.stages.explode import explode_batch
+    from ollama_ocr_ray.stages.extract import extract_batch
+    from ollama_ocr_ray.stages.ocr import OcrModel
+
+    ref = "media://b/receipt_0"
+    flat = np.full((99, 99), 7, np.uint8)
+    store = {ref: b"F"}
+    spans = extract_batch(explode_batch(pa.Table.from_pylist(
+        [{"doc_id": "d", "spans": [{"kind": "media", "text": "",
+                                    "media_ref": ref, "offset": 0}]}],
+        schema=DOCUMENTS_SCHEMA)))
+    model = RouterModel(printed=DemoHashModel("PRN"),
+                        handwriting=DemoHashModel("HND"),
+                        decode=lambda b: flat)
+    out = OcrModel(model=model, media_store=store)(spans).to_pylist()
+    assert [r["text"] for r in out if r["kind"] == "ocr"] == [
+        DemoHashModel.transcribe(b"F", "PRN")]
+    routes = route_media_batch(spans, media_store=store,
+                               decode=lambda b: flat).column("route")
+    assert [r for r in routes.to_pylist() if r] == ["printed"]
+    assert oracle.route_media_span(ref, flat) == "printed"
+
+
 def test_resolve_router_spec():
     r = resolve_model("router")
     assert isinstance(r, RouterModel)

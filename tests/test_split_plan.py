@@ -337,24 +337,31 @@ def test_doc_id_shared_by_two_input_files_is_refused(ray_session, tmp_path):
 
 
 def test_run_extract_picks_and_reports_the_split_plan(ray_session, tmp_path):
-    """A one-file job whose heaviest document passes the probe's
-    threshold runs the split plan, reports it and matches the oracle."""
+    """Each partition decides from its own probe: a uniform file runs
+    fused, and the file after it, whose heaviest document passes the
+    probe's threshold, runs split.  Each record says its plan, the
+    summary both, and each part matches the oracle."""
     from ollama_ocr_ray.state.manifest import Manifest
     from ollama_ocr_ray.state.runner import run_extract
 
     latency = 10.0
-    heavy = int(1.5 * px._SPLIT_DOC_S * 1e3 / latency)
-    table = _skewed(heavy)
-    (tmp_path / "in").mkdir()
-    pq.write_table(table, str(tmp_path / "in" / "part-00000.parquet"))
+    heavy = int(px._SPLIT_DOC_S * 1e3 / latency) + 1
+    tables = [_table([_doc(f"u{i:03d}", i % 2) for i in range(40)]),
+              _skewed(heavy)]
+    src = tmp_path / "in"
+    src.mkdir()
+    for pid, table in enumerate(tables):
+        pq.write_table(table, str(src / f"part-{pid:05d}.parquet"))
     out = str(tmp_path / "out")
-    s = run_extract(str(tmp_path / "in"), out, plan="auto",
+    s = run_extract(str(src), out, plan="auto",
                     ocr_latency_ms=latency, wave=1)
-    assert (s["plan"], s["docs"]) == ("split", table.num_rows)
-    assert [r["docs"] for r in Manifest(out).records()] == [table.num_rows]
-    got = pq.read_table(os.path.join(out, "part-00000"))
-    assert _spans([got.select(["doc_id", "spans"])]) \
-        == oracle.extract_corpus(table)
+    assert (s["plan"], s["docs"]) == ("fused+split", 81)
+    assert [(r["plan"], r["docs"]) for r in Manifest(out).records()] \
+        == [("fused", 40), ("split", 41)]
+    for pid, table in enumerate(tables):
+        got = pq.read_table(os.path.join(out, f"part-{pid:05d}"))
+        assert _spans([got.select(["doc_id", "spans"])]) \
+            == oracle.extract_corpus(table)
 
 
 def test_partition_that_loses_a_document_is_not_committed(
@@ -374,6 +381,31 @@ def test_partition_that_loses_a_document_is_not_committed(
     with pytest.raises(RuntimeError, match="extracted 40 of 41 documents"):
         run_extract(str(tmp_path / "in"), out, plan="fused",
                     ocr_latency_ms=1.0, wave=1)
+    assert Manifest(out).records() == []
+
+
+def test_doc_id_repeated_across_fused_batches_is_refused(ray_session,
+                                                         tmp_path):
+    """The fused plan refuses a repeated ``doc_id`` only inside one
+    batch; a repeat in two batches of one partition is refused at the
+    commit, naming the id, and nothing commits."""
+    from ollama_ocr_ray.state.manifest import Manifest
+    from ollama_ocr_ray.state.runner import run_extract
+
+    table = _table([_doc(f"d{i:03d}", i % 2) for i in range(40)]
+                   + [_doc("d000", 1)])
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(table, str(src / "part-00000.parquet"))
+    latency = 20.0
+    plan, probe = px.resolve_plan(read_documents(str(src)), None,
+                                  ocr_latency_ms=latency)
+    pool = px.ocr_pool(probe, ocr_latency_ms=latency, plan=plan)
+    assert plan == "fused" and -(-table.num_rows // pool.batch_size) >= 2
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError,
+                       match="duplicate doc_id 'd000' in the partition"):
+        run_extract(str(src), out, ocr_latency_ms=latency, wave=1)
     assert Manifest(out).records() == []
 
 
