@@ -62,27 +62,24 @@ def exact_dedup(docs):
     return agg.select_columns(["doc_id", "n_dups"])
 
 
-DROPLIST_OPEN_CAP = 4_000_000  # driver bound on boundary local-min rows
-
-
 def exact_droplist(docs):
     """(doc_id) of every document whose text duplicates a SMALLER
     doc_id — the removal side that ``relational.anti_join`` applies.
     Only (content-hash, doc_id) rows cross the exchange.
 
-    Exact under hot-key block splits (round-4 hardening of the ADVICE
-    r3 class: a text duplicated past the block-size bound splits its
-    sorted run, and the old per-segment fold kept every fragment's
-    local min).  Rows above their segment's LOCAL min are certainly
-    above the global min, so the block drops them immediately; each
-    block's first/last segments also emit their (hash, local_min) as
-    marker rows — a split hash appears only as boundary segments — and
-    the bounded marker set (<= 2 per block, capped) folds on the
-    driver: every marker local-min except the per-hash global min is a
-    duplicate too."""
-    out_schema = pa.schema(
-        [("h", pa.string()), ("doc_id", pa.int64()), ("__kind", pa.int8())]
-    )
+    Exact under hot-key block splits: a text duplicated past the
+    block-size bound splits its sorted run.  Rows above their
+    segment's LOCAL min are certainly above the global min, so each
+    block drops them at once.  A split hash appears only as a boundary
+    segment, so each block's first/last segments also emit their
+    (hash, local_min) markers (<= 2 per block), and those go through
+    ``folds.exact_segment_fold``: every marker local-min except the
+    per-hash global min is a duplicate too.  The sorted hash rows are
+    materialized once, since both passes read them."""
+    from .folds import exact_segment_fold
+
+    marker_schema = pa.schema([("h", pa.string()), ("doc_id", pa.int64())])
+    dropped_schema = pa.schema([("doc_id", pa.int64())])
 
     def hash_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -94,86 +91,52 @@ def exact_droplist(docs):
              "doc_id": batch.column("doc_id")}
         )
 
-    def drop_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
-        starts, _ = _segment_bounds(batch.column("h"))
+    def local_mins(batch: pa.Table):
+        """(segment starts, ids, per-row segment min) of a hash-sorted
+        table."""
+        starts, ends = _segment_bounds(batch.column("h"))
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        seg_min = np.minimum.reduceat(ids, starts)
-        seg_of_row = np.searchsorted(
-            starts, np.arange(len(ids)), side="right"
-        ) - 1
-        drop = ids != seg_min[seg_of_row]
-        dropped = pa.table(
-            {
-                "h": pa.nulls(int(drop.sum()), type=pa.string()),
-                "doc_id": pa.array(ids[drop], type=pa.int64()),
-                "__kind": pa.array(
-                    np.zeros(int(drop.sum()), dtype=np.int8)
-                ),
-            }
-        ).cast(out_schema)
-        # boundary markers: local min of the first and last segments
-        m = [0] if len(starts) == 1 else [0, len(starts) - 1]
-        marker_starts = pa.array(np.asarray(starts)[m], type=pa.int64())
-        markers = pa.table(
-            {
-                "h": batch.column("h").take(marker_starts),
-                "doc_id": pa.array(seg_min[m], type=pa.int64()),
-                "__kind": pa.array(np.ones(len(m), dtype=np.int8)),
-            }
-        ).cast(out_schema)
-        return pa.concat_tables([dropped, markers])
+        return starts, ids, np.repeat(np.minimum.reduceat(ids, starts),
+                                      ends - starts)
 
-    folded = (
+    def drop_above_min(batch: pa.Table) -> pa.Table:
+        """The fold, and the in-block drop: every id above its
+        segment's min."""
+        if batch.num_rows == 0 or batch.num_columns == 0:
+            return dropped_schema.empty_table()
+        _, ids, row_min = local_mins(batch.combine_chunks())
+        return pa.table(
+            {"doc_id": pa.array(ids[ids != row_min], type=pa.int64())}
+        )
+
+    def boundary_markers(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or batch.num_columns == 0:
+            return marker_schema.empty_table()
+        batch = batch.combine_chunks()
+        starts, _, row_min = local_mins(batch)
+        m = np.unique(starts[[0, -1]])
+        return pa.table(
+            {"h": batch.column("h").take(pa.array(m)),
+             "doc_id": pa.array(row_min[m], type=pa.int64())}
+        ).cast(marker_schema)
+
+    hashed = (
         docs.map_batches(hash_rows, batch_format="pyarrow")
         .sort("h")
-        .map_batches(drop_block, batch_size=None, batch_format="pyarrow",
-                     zero_copy_batch=True)
         .materialize()
     )
-
-    def keep_dropped(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema([("doc_id", pa.int64())]).empty_table()
-        batch = batch.combine_chunks()
-        return batch.filter(
-            pc.equal(batch.column("__kind"), 0)
-        ).select(["doc_id"])
-
-    def keep_markers(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
-        return batch.filter(pc.equal(batch.column("__kind"), 1))
-
-    closed = folded.map_batches(keep_dropped, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    markers = folded.map_batches(
-        keep_markers, batch_format="pyarrow", zero_copy_batch=True
-    ).limit(DROPLIST_OPEN_CAP + 1).take_all()
-    if len(markers) > DROPLIST_OPEN_CAP:
-        raise RuntimeError(
-            "exact_droplist: boundary-marker set exceeds the driver cap "
-            f"({DROPLIST_OPEN_CAP} rows = 2 per sorted block); raise "
-            "target_max_block_size or DROPLIST_OPEN_CAP"
-        )
-    if not markers:
-        return closed
-    t = pa.Table.from_pylist(markers).sort_by(
-        [("h", "ascending"), ("doc_id", "ascending")]
-    ).combine_chunks()
-    starts, _ = _segment_bounds(t.column("h"))
-    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-    is_start = np.zeros(len(ids), dtype=bool)
-    is_start[np.asarray(starts)] = True
-    extra = pa.table(
-        {"doc_id": pa.array(ids[~is_start], type=pa.int64())}
+    dropped = hashed.map_batches(
+        drop_above_min, batch_size=None, batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    import ray.data
-
-    return closed.union(ray.data.from_arrow(extra))
+    markers = hashed.map_batches(
+        boundary_markers, batch_size=None, batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return dropped.union(exact_segment_fold(
+        markers, key_cols=["h"], fold=drop_above_min,
+        raw_schema=marker_schema, out_schema=dropped_schema,
+    ))
 
 
 # --- MinHash + LSH ----------------------------------------------------------

@@ -11,7 +11,6 @@ never leave their input block.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from .text import LangId, fingerprint_batch, quality_score_batch
@@ -44,8 +43,6 @@ class PrepAnnotate:
         )
 
 
-KEEP_MIN_OPEN_CAP = 4_000_000  # driver bound on boundary keeper rows
-
 # Output schema shared by PrepAnnotate and CurateAnnotate — the typed
 # fallback for the all-documents-gated-away edge (an executed-empty Ray
 # dataset carries no schema at all, so it cannot be derived there).
@@ -61,12 +58,9 @@ ANNOTATE_SCHEMA = pa.schema(
 
 
 def _keep_first_block(batch: pa.Table) -> pa.Table:
-    """Sorted-by-fingerprint block → the min-doc_id row per fingerprint
-    segment, with the block's FIRST and LAST segments' keepers marked
-    ``__open`` — a fingerprint whose run splits across sorted blocks
-    (possible whenever one content is duplicated past the block-size
-    bound, the round-4 hardening of the ADVICE r3 class) appears ONLY
-    as boundary segments, so the bounded open set re-folds exactly."""
+    """Fingerprint-sorted rows → the min-doc_id row per fingerprint
+    segment: the per-block pre-reduce of ``dedup_keep_min`` and its
+    boundary fold."""
     from .dedup import _segment_bounds
 
     if batch.num_rows == 0 or batch.num_columns == 0:
@@ -75,20 +69,18 @@ def _keep_first_block(batch: pa.Table) -> pa.Table:
         [("fingerprint", "ascending"), ("doc_id", "ascending")]
     ).combine_chunks()
     starts, _ = _segment_bounds(batch.column("fingerprint"))
-    kept = batch.take(pa.array(starts, type=pa.int64()))
-    is_open = np.zeros(len(starts), dtype=np.int8)
-    is_open[0] = 1
-    is_open[-1] = 1
-    return kept.append_column("__open", pa.array(is_open))
+    return batch.take(pa.array(starts, type=pa.int64()))
 
 
 def dedup_keep_min(ann, empty_schema: pa.Schema | None = None):
     """Exact-dedup keep-min-doc_id per fingerprint over an annotated
     Dataset, EXACT under hot-key block splits: one sort on fingerprint,
-    block-local keep-first, then the <= 2-per-block boundary keepers
-    (capped, loud error) re-fold on the driver and union back.  The
-    min-per-key reduction is associative, so folding local minima of a
-    split run yields the global minimum.
+    block-local keep-first, then ``folds.exact_segment_fold`` over the
+    keepers with the same keep-first, so a fingerprint whose run
+    splits across sorted blocks ships one keeper per block (<= 2 per
+    block in all) to the boundary fold.  The min-per-key reduction is
+    associative, so folding local minima of a split run yields the
+    global minimum.
 
     ``empty_schema``: when an upstream gate rejects EVERY document the
     input dataset is executed-empty and schema-less (Ray drops empty
@@ -96,64 +88,25 @@ def dedup_keep_min(ann, empty_schema: pa.Schema | None = None):
     their annotate schema pass it here to keep downstream sample/write
     stages typed.  Without it the empty result is schema-less but valid.
     """
-    from .dedup import _segment_bounds
+    from .folds import exact_segment_fold
 
-    folded = ann.sort("fingerprint").map_batches(
+    keepers = ann.sort("fingerprint").map_batches(
         _keep_first_block, batch_size=None, batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    folded_schema = folded.schema()
-    if folded_schema is None:
+    keepers_schema = keepers.schema()
+    if keepers_schema is None:
         # all documents gated away upstream (seen at 1M-doc volume)
         if empty_schema is not None:
             import ray.data as rd
 
             return rd.from_arrow(empty_schema.empty_table())
         return ann.limit(0)
-    out_schema = pa.schema(
-        [f for f in folded_schema.base_schema if f.name != "__open"]
+    schema = keepers_schema.base_schema
+    return exact_segment_fold(
+        keepers, key_cols=["fingerprint"], fold=_keep_first_block,
+        raw_schema=schema, out_schema=schema,
     )
-
-    def keep_closed(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
-        import pyarrow.compute as pc
-
-        return batch.filter(
-            pc.equal(batch.column("__open"), 0)
-        ).drop_columns(["__open"])
-
-    def keep_open(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return batch
-        batch = batch.combine_chunks()
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.equal(batch.column("__open"), 1))
-
-    closed = folded.map_batches(keep_closed, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    open_rows = folded.map_batches(
-        keep_open, batch_format="pyarrow", zero_copy_batch=True
-    ).limit(KEEP_MIN_OPEN_CAP + 1).take_all()
-    if len(open_rows) > KEEP_MIN_OPEN_CAP:
-        raise RuntimeError(
-            "dedup_keep_min: boundary-keeper set exceeds the driver cap "
-            f"({KEEP_MIN_OPEN_CAP} rows = 2 per sorted block); raise "
-            "target_max_block_size or KEEP_MIN_OPEN_CAP"
-        )
-    if not open_rows:
-        return closed
-    t = pa.Table.from_pylist(open_rows).drop_columns(["__open"])
-    t = t.cast(out_schema).sort_by(
-        [("fingerprint", "ascending"), ("doc_id", "ascending")]
-    ).combine_chunks()
-    starts, _ = _segment_bounds(t.column("fingerprint"))
-    merged = t.take(pa.array(starts, type=pa.int64()))
-    import ray.data
-
-    return closed.union(ray.data.from_arrow(merged))
 
 
 def prep_corpus(docs, *, quality_threshold: float = 0.01):

@@ -14,9 +14,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
-
 
 def _cents(col) -> pa.Array:
     """floor(x*100 + 0.5) as int64 — exactly mirrors the SQL oracle."""
@@ -95,6 +92,12 @@ def top_docs_by_len(docs, k: int = 100):
     ).limit(k).select_columns(["doc_id", "n_chars"])
 
 
+# events_hourly's driver bound on its boundary markers (2 per sorted
+# block): its distinct-user correction is not a per-key fold, so it is
+# the one boundary fold outside ``folds.exact_segment_fold``.
+SESSION_OPEN_CAP = 4_000_000
+
+
 def events_hourly(events, *, sort_partitions: int | None = None,
                   fan_in: int = 64):
     """Tumbling 1-hour windows per event_type: row count, distinct
@@ -114,7 +117,7 @@ def events_hourly(events, *, sort_partitions: int | None = None,
        appears exactly k times among markers, an unsplit one at most
        once — so per window ``overcount = markers - distinct marker
        users``, computed on the driver from a 2-rows-per-block bounded
-       set (same cap pattern as ``sessionize``);
+       set (capped at ``SESSION_OPEN_CAP`` with a loud error);
     4. repartition tree-reduce merges the per-block window partials
        (sums are mergeable; the transition total minus overcount is
        the exact distinct-user count) — the CLAUDE.md-sanctioned
@@ -504,24 +507,21 @@ def asof_last_order(events, orders_by_cust: dict):
 
 def asof_last_order_partitioned(events, orders):
     """Co-partitioned as-of join (VERDICT r1 #3): the orders side is a
-    FACT table, so instead of materializing it driver-side (the
-    broadcast variant below, kept for genuinely small sides), both
-    sides union into keyed rows and ONE sort exchange co-locates each
-    customer's orders with their events.  The per-block merge is a
-    vectorized grouped forward-fill: after a block-local
+    FACT table, so instead of materializing it driver-side (as the
+    broadcast ``asof_last_order`` above does, kept as the small-side
+    reference), both sides union into keyed rows and ONE sort exchange
+    co-locates each customer's orders with their events.  The per-block
+    merge is a vectorized grouped forward-fill: after a block-local
     (key, ts, side) sort, ``maximum.accumulate`` over order-row
     positions gives every event its latest at-or-before order in O(n),
     no per-key Python loop.  Orders sort before events at equal ts, so
     a same-instant order counts (at-or-before semantics, ties with the
     DuckDB oracle's ``o_orderdate <= ts``).
 
-    Exact under hot-key block splits (round-4 hardening of the ADVICE
-    r3 class): a customer whose keyed rows split across sorted blocks
-    is, by contiguity, the FIRST or LAST key of every block containing
-    them — each block passes those keys' RAW rows through untouched
-    and merges only interior keys (complete by construction); the
-    bounded boundary set (rows of <= 2 keys per block, capped with a
-    loud error) merges on the driver with the same vectorized fill.
+    Exact under hot-key block splits: the fill runs through
+    ``folds.exact_segment_fold`` keyed on the customer, so a customer
+    whose keyed rows split across sorted blocks (the first or last key
+    of each block holding them) is filled once over all its rows.
 
     Reference behavior generalized: the reference has no joins at all;
     this is the training-data-pipeline operator suite (SURVEY §2.8).
@@ -568,9 +568,8 @@ def asof_last_order_partitioned(events, orders):
     )
 
     def asof_fill(batch: pa.Table) -> pa.Table:
-        """Vectorized grouped forward-fill over keyed rows — used per
-        block for interior keys and once on the driver for the bounded
-        boundary set."""
+        """Vectorized grouped forward-fill over keyed rows: the per-key
+        fold."""
         if batch.num_rows == 0:
             return out_schema.empty_table()
         batch = batch.combine_chunks()
@@ -604,93 +603,12 @@ def asof_last_order_partitioned(events, orders):
             }
         ).cast(out_schema)
 
-    # superset schema: merged interior outputs (kind 0) + raw boundary
-    # rows (kind 1) flow through one stream
-    mixed_schema = pa.schema(
-        [("event_id", pa.int64()), ("user_id", pa.int64()),
-         ("last_order_date", pa.timestamp("us")), ("k", pa.int64()),
-         ("side", pa.int8()), ("ts", pa.int64()), ("__kind", pa.int8())]
+    from .folds import exact_segment_fold
+
+    return exact_segment_fold(
+        keyed.sort("k"), key_cols=["k"], fold=asof_fill,
+        raw_schema=keyed_schema, out_schema=out_schema,
     )
-
-    def merge_block(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return mixed_schema.empty_table()
-        batch = batch.combine_chunks()
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        is_open = (k == k.min()) | (k == k.max())
-        interior = asof_fill(batch.filter(pa.array(~is_open)))
-        raw = batch.filter(pa.array(is_open)).combine_chunks()
-        merged = pa.table(
-            {
-                "event_id": interior.column("event_id"),
-                "user_id": interior.column("user_id"),
-                "last_order_date": interior.column("last_order_date"),
-                "k": pa.nulls(interior.num_rows, type=pa.int64()),
-                "side": pa.nulls(interior.num_rows, type=pa.int8()),
-                "ts": pa.nulls(interior.num_rows, type=pa.int64()),
-                "__kind": pa.array(
-                    np.zeros(interior.num_rows, dtype=np.int8)
-                ),
-            }
-        ).cast(mixed_schema)
-        boundary = pa.table(
-            {
-                "event_id": raw.column("event_id"),
-                "user_id": pa.nulls(raw.num_rows, type=pa.int64()),
-                "last_order_date": pa.nulls(raw.num_rows,
-                                            type=pa.timestamp("us")),
-                "k": raw.column("k"),
-                "side": raw.column("side"),
-                "ts": raw.column("ts"),
-                "__kind": pa.array(np.ones(raw.num_rows, dtype=np.int8)),
-            }
-        ).cast(mixed_schema)
-        return pa.concat_tables([merged, boundary])
-
-    folded = keyed.sort("k").map_batches(
-        merge_block, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-
-    def keep_merged(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
-        return batch.filter(
-            pc.equal(batch.column("__kind"), 0)
-        ).select(["event_id", "user_id", "last_order_date"]).cast(out_schema)
-
-    def keep_boundary(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return mixed_schema.empty_table()
-        batch = batch.combine_chunks()
-        return batch.filter(pc.equal(batch.column("__kind"), 1))
-
-    closed = folded.map_batches(keep_merged, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    boundary_rows = folded.map_batches(
-        keep_boundary, batch_format="pyarrow", zero_copy_batch=True
-    ).limit(SESSION_OPEN_CAP + 1).take_all()
-    if len(boundary_rows) > SESSION_OPEN_CAP:
-        raise RuntimeError(
-            "asof_last_order_partitioned: boundary-key row set exceeds "
-            f"the driver cap ({SESSION_OPEN_CAP} rows); salt the hot "
-            "key or raise target_max_block_size"
-        )
-    if not boundary_rows:
-        return closed
-    bt = pa.table(
-        {
-            "k": pa.array([r["k"] for r in boundary_rows], type=pa.int64()),
-            "side": pa.array([r["side"] for r in boundary_rows],
-                             type=pa.int8()),
-            "ts": pa.array([r["ts"] for r in boundary_rows],
-                           type=pa.int64()),
-            "event_id": pa.array([r["event_id"] for r in boundary_rows],
-                                 type=pa.int64()),
-        }
-    )
-    return closed.union(ray.data.from_arrow(asof_fill(bt)))
 
 
 def build_orders_by_cust(orders_table: pa.Table) -> dict:
@@ -713,7 +631,13 @@ def build_orders_by_cust(orders_table: pa.Table) -> dict:
     return out
 
 
-SESSION_OPEN_CAP = 4_000_000  # driver-side bound on boundary sessions
+# ``sessionize``'s session rows: int64 timestamps + exact micro sums so
+# the merge stays integer-exact; ``chain`` is the boundary fold key.
+_SESSION_SCHEMA = pa.schema(
+    [("user_id", pa.int64()), ("start_us", pa.int64()),
+     ("end_us", pa.int64()), ("n_events", pa.int64()),
+     ("micro", pa.int64()), ("chain", pa.int64())]
+)
 
 
 def sessionize(events, gap_minutes: int = 30):
@@ -726,28 +650,22 @@ def sessionize(events, gap_minutes: int = 30):
     user's events, then gap-merging the resulting intervals, yields the
     same sessions as one global pass.  Plan: ONE sort on (user_id, ts)
     makes every block a globally-ordered run; a vectorized block pass
-    emits locally-maximal sessions and marks each block's FIRST and
-    LAST session ``open`` (only those can merge with a neighbouring
-    block — interior sessions are already separated by a super-gap on
-    both sides within the block).  The session table is materialized
-    (it is the operator's OUTPUT size, far below the input), closed
-    rows stream through, and the open set — at most 2 rows per block,
-    capped at ``SESSION_OPEN_CAP`` with a loud error — is gap-merged
-    on the driver with one vectorized pass, then unioned back.  No
-    sorted-block invariant anywhere.
+    emits locally-maximal sessions, and ``folds.exact_segment_fold``
+    gap-merges them (``_merge_open_sessions``).  Only a block's FIRST
+    and LAST session can merge with a neighbouring block (interior
+    sessions are separated by a super-gap on both sides within the
+    block), so the fold key is (user_id, chain): chain is -1 for those
+    two sessions and the session's own start otherwise.  A user whose
+    run splits blocks ships at most 2 sessions per block to the
+    boundary fold, and re-merging a complete session changes nothing.
     """
+    from .folds import exact_segment_fold
+
     gap_us = gap_minutes * 60 * 1_000_000
     out_schema = pa.schema(
         [("user_id", pa.int64()), ("session_start", pa.timestamp("us")),
          ("session_end", pa.timestamp("us")), ("n_events", pa.int64()),
          ("sum_value", pa.float64())]
-    )
-    # internal fold schema: int64 timestamps + exact micro sums so the
-    # driver merge stays integer-exact; __open marks boundary sessions
-    fold_schema = pa.schema(
-        [("user_id", pa.int64()), ("start_us", pa.int64()),
-         ("end_us", pa.int64()), ("n_events", pa.int64()),
-         ("micro", pa.int64()), ("__open", pa.int8())]
     )
 
     def project(batch: pa.Table) -> pa.Table:
@@ -765,7 +683,7 @@ def sessionize(events, gap_minutes: int = 30):
 
     def sessions_block(batch: pa.Table) -> pa.Table:
         if batch.num_columns == 0 or batch.num_rows == 0:
-            return fold_schema.empty_table()
+            return _SESSION_SCHEMA.empty_table()
         batch = batch.combine_chunks()
         idx = pc.sort_indices(
             batch, sort_keys=[("user_id", "ascending"), ("ts", "ascending")]
@@ -779,9 +697,8 @@ def sessionize(events, gap_minutes: int = 30):
         brk[1:] = (k[1:] != k[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
         starts = np.flatnonzero(brk)
         ends = np.concatenate([starts[1:], [n]])
-        is_open = np.zeros(len(starts), dtype=np.int8)
-        is_open[0] = 1
-        is_open[-1] = 1
+        chain = ts[starts]
+        chain[[0, -1]] = -1
         return pa.table(
             {
                 "user_id": pa.array(k[starts], type=pa.int64()),
@@ -790,85 +707,53 @@ def sessionize(events, gap_minutes: int = 30):
                 "n_events": pa.array(ends - starts, type=pa.int64()),
                 "micro": pa.array(np.add.reduceat(micro, starts),
                                   type=pa.int64()),
-                "__open": pa.array(is_open),
+                "chain": pa.array(chain, type=pa.int64()),
             }
-        ).cast(fold_schema)
+        ).cast(_SESSION_SCHEMA)
 
-    def to_output(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
+    def merge_to_output(sessions: pa.Table) -> pa.Table:
+        merged = _merge_open_sessions(sessions, gap_us)
         return pa.table(
             {
-                "user_id": batch.column("user_id"),
-                "session_start": batch.column("start_us").cast(
+                "user_id": merged.column("user_id"),
+                "session_start": merged.column("start_us").cast(
                     pa.timestamp("us")),
-                "session_end": batch.column("end_us").cast(pa.timestamp("us")),
-                "n_events": batch.column("n_events"),
+                "session_end": merged.column("end_us").cast(
+                    pa.timestamp("us")),
+                "n_events": merged.column("n_events"),
                 "sum_value": pa.array(
-                    batch.column("micro").to_numpy(zero_copy_only=False) / 1e6,
-                    type=pa.float64(),
+                    merged.column("micro").to_numpy(zero_copy_only=False)
+                    / 1e6, type=pa.float64(),
                 ),
             }
         ).cast(out_schema)
 
-    folded = (
+    sessions = (
         events.map_batches(project, batch_format="pyarrow",
                            zero_copy_batch=True)
         .sort(["user_id", "ts"])
         .map_batches(sessions_block, batch_size=None, batch_format="pyarrow",
                      zero_copy_batch=True)
-        .materialize()
     )
-
-    def keep_closed(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
-        return to_output(batch.filter(pc.equal(batch.column("__open"), 0)))
-
-    def keep_open(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return fold_schema.empty_table()
-        batch = batch.combine_chunks()
-        return batch.filter(pc.equal(batch.column("__open"), 1))
-
-    closed = folded.map_batches(keep_closed, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    open_rows = folded.map_batches(
-        keep_open, batch_format="pyarrow", zero_copy_batch=True
-    ).limit(SESSION_OPEN_CAP + 1).take_all()
-    if len(open_rows) > SESSION_OPEN_CAP:
-        raise RuntimeError(
-            f"sessionize: boundary-session set exceeds the driver cap "
-            f"({SESSION_OPEN_CAP} rows = 2 per sorted block); raise "
-            f"target_max_block_size or SESSION_OPEN_CAP"
-        )
-    merged = _merge_open_sessions(open_rows, gap_us)
-    return closed.union(
-        ray.data.from_arrow(to_output(merged))
+    return exact_segment_fold(
+        sessions, key_cols=["user_id", "chain"], fold=merge_to_output,
+        raw_schema=_SESSION_SCHEMA, out_schema=out_schema,
     )
 
 
-def _merge_open_sessions(open_rows: list[dict], gap_us: int) -> pa.Table:
-    """Gap-merge the boundary-session intervals (driver side, one
-    vectorized pass).  Input rows follow the ``sessionize`` fold
-    schema; intervals of one user are disjoint and, once sorted by
-    start, adjacent ones merge iff the gap is within threshold —
-    interval merging is associative, so this closes every cross-block
-    chain regardless of how many blocks a user spanned."""
-    fold_schema = pa.schema(
-        [("user_id", pa.int64()), ("start_us", pa.int64()),
-         ("end_us", pa.int64()), ("n_events", pa.int64()),
-         ("micro", pa.int64()), ("__open", pa.int8())]
+def _merge_open_sessions(sessions: pa.Table, gap_us: int) -> pa.Table:
+    """Gap-merge session intervals in one vectorized pass: rows in the
+    ``sessionize`` session schema, the same rows merged out.  Intervals
+    of one user are disjoint and, once sorted by start, adjacent ones
+    merge iff the gap is within threshold — interval merging is
+    associative, so this closes every cross-block chain regardless of
+    how many blocks a user spanned."""
+    if sessions.num_rows == 0:
+        return _SESSION_SCHEMA.empty_table()
+    user, start, end, n_ev, micro = (
+        sessions.column(c).to_numpy(zero_copy_only=False)
+        for c in ("user_id", "start_us", "end_us", "n_events", "micro")
     )
-    if not open_rows:
-        return fold_schema.empty_table()
-    user = np.array([r["user_id"] for r in open_rows], dtype=np.int64)
-    start = np.array([r["start_us"] for r in open_rows], dtype=np.int64)
-    end = np.array([r["end_us"] for r in open_rows], dtype=np.int64)
-    n_ev = np.array([r["n_events"] for r in open_rows], dtype=np.int64)
-    micro = np.array([r["micro"] for r in open_rows], dtype=np.int64)
     order = np.lexsort((start, user))
     user, start, end = user[order], start[order], end[order]
     n_ev, micro = n_ev[order], micro[order]
@@ -883,9 +768,9 @@ def _merge_open_sessions(open_rows: list[dict], gap_us: int) -> pa.Table:
             "end_us": pa.array(end[e - 1], type=pa.int64()),
             "n_events": pa.array(np.add.reduceat(n_ev, s), type=pa.int64()),
             "micro": pa.array(np.add.reduceat(micro, s), type=pa.int64()),
-            "__open": pa.array(np.zeros(len(s), dtype=np.int8)),
+            "chain": pa.array(start[s], type=pa.int64()),
         }
-    ).cast(fold_schema)
+    ).cast(_SESSION_SCHEMA)
 
 
 PRICE_BANDS = [

@@ -81,7 +81,7 @@ class DocProbe(NamedTuple):
     """What a bounded sample of the input says about its OCR work."""
 
     docs: int           # documents in the sample
-    exact: bool         # the sample is the whole input
+    total: int | None   # documents in the whole input, when known
     media_mean: float   # media spans per sampled document
     media_max: int = 0  # media spans of the heaviest sampled document
 
@@ -134,9 +134,9 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
 
     Size: each actor costs ``_ACTOR_START_S`` and saves ``work / n``,
     so n = sqrt(work / start) minimizes the pipeline's wall time.
-    Fused plan: when the probe counts the input exactly (always for a
-    parquet input: ``resolve_plan`` gives it the footers' count), the
-    pool gets n actors, the batch shrinks to give each actor one batch,
+    Fused plan: when the probe knows the input's ``total`` (always for
+    a parquet input, from its footers), the pool gets n actors for that
+    many documents, the batch shrinks to give each actor one batch,
     and the pool never outnumbers its batches; an input of unknown size
     (JSONL/CSV or transformed, past the sample) gets the cap.  Split
     plan: the sample's span work sizes the pool even when the sample
@@ -156,16 +156,19 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
     fold_cpus = _FOLD_CPUS if plan == "split" else 0.0
     budget = int(((cpus - 1) / pipelines - fold_cpus) / num_cpus)
     actors = max(1, min(auto_cap if cap is None else cap, budget))
-    work_s = probe.docs * (_DOC_MS + probe.media_mean * per_span_ms) / 1e3
+    docs = probe.docs if plan == "split" else probe.total
+    if docs is None:
+        return OcrPool(actors, num_cpus, batch_size)
+    work_s = docs * (_DOC_MS + probe.media_mean * per_span_ms) / 1e3
     best = math.ceil(math.sqrt(work_s / _ACTOR_START_S))
     if plan == "split":
         actors = max(1, min(actors, best - 1))
         batch_size = max(_SPLIT_MIN_ROWS,
                          math.ceil((probe.media_max + 1) / actors))
-    elif probe.exact:
+    else:
         actors = max(1, min(actors, best))
-        batch_size = max(1, min(batch_size, math.ceil(probe.docs / actors)))
-        actors = max(1, min(actors, math.ceil(probe.docs / batch_size)))
+        batch_size = max(1, min(batch_size, math.ceil(docs / actors)))
+        actors = max(1, min(actors, math.ceil(docs / batch_size)))
     return OcrPool(actors, num_cpus, batch_size)
 
 
@@ -296,7 +299,7 @@ def check_plan(plan: str | None) -> None:
             "'fused' and 'split' (or pass None/'auto' to probe)")
 
 
-def _probe(spans, exact: bool) -> DocProbe:
+def _probe(spans, total: int | None) -> DocProbe:
     """A sample's ``spans`` column (a list of structs with at least a
     ``kind`` field) → ``DocProbe``; both sample sources end here."""
     n = len(spans)
@@ -306,7 +309,7 @@ def _probe(spans, exact: bool) -> DocProbe:
         pc.list_value_length(spans).fill_null(0))),
         weights=is_media, minlength=n)
     media = int(per_doc.sum())
-    return DocProbe(n, exact, media / n if n else 0.0,
+    return DocProbe(n, total, media / n if n else 0.0,
                     int(per_doc.max()) if n else 0)
 
 
@@ -341,8 +344,8 @@ def _parquet_probe(files: list[str]) -> DocProbe:
                 if rows == _SAMPLE_DOCS:
                     break
     if not head:
-        return DocProbe(0, True, 0.0)
-    return _probe(pa.chunked_array(head), exact=rows == total)
+        return DocProbe(0, total, 0.0)
+    return _probe(pa.chunked_array(head), total)
 
 
 def _dataset_probe(docs) -> DocProbe:
@@ -360,11 +363,11 @@ def _dataset_probe(docs) -> DocProbe:
         # take_batch raises ValueError only for an exhausted/empty
         # dataset: nothing to probe.  Real read errors (corrupt
         # parquet, permissions) propagate.
-        return DocProbe(0, True, 0.0)
+        return DocProbe(0, 0, 0.0)
     finally:
         opts.preserve_order = ordered
     spans = sample["spans"]
-    return _probe(spans, exact=len(spans) < _SAMPLE_DOCS)
+    return _probe(spans, len(spans) if len(spans) < _SAMPLE_DOCS else None)
 
 
 def choose_plan(docs, *, ocr_latency_ms: float = 0.0, ocr_burn: int = 0,
@@ -394,21 +397,11 @@ def resolve_plan(docs, plan: str | None, *, ocr_latency_ms: float = 0.0,
     """The one place an extraction plan is decided: ``check_plan``, then
     the probe (``choose_plan``), then the override — a plan name
     replaces only the probe's choice, and its ``DocProbe`` still sizes
-    the pool.  The fused plan's pool is sized from the whole input when
-    parquet footers count it (as ``state.runner`` sizes each
-    partition's); the split plan's from the sample's span work.
-    Returns ``(plan name, DocProbe)``."""
+    the pool (``ocr_pool``).  Returns ``(plan name, DocProbe)``."""
     check_plan(plan)
     chosen, probe = choose_plan(docs, ocr_latency_ms=ocr_latency_ms,
                                 ocr_burn=ocr_burn, with_probe=True)
-    plan = plan if plan in PLANS else chosen
-    files = parquet_files(docs)
-    if plan == "fused" and not probe.exact and files is not None:
-        import pyarrow.parquet as pq
-
-        probe = probe._replace(exact=True, docs=sum(
-            pq.read_metadata(f).num_rows for f in files))
-    return plan, probe
+    return (plan if plan in PLANS else chosen), probe
 
 
 def auto_pipeline(docs, *, ocr_burn: int = 0, ocr_latency_ms: float = 0.0,

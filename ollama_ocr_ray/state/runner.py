@@ -163,15 +163,11 @@ def _run_partition(
     ``auto_pipeline`` decides on the partition's file: ``resolve_plan``,
     then ONE ``ocr_pool`` call, capped at ``ocr_concurrency`` and at its
     share among ``pipelines`` partitions running at once.  Output short
-    of a known input count (parquet footer or exact probe) raises."""
+    of the probe's known input count (``DocProbe.total``: parquet
+    footers, or a probe that saw the whole file) raises."""
     ds = read_documents_files([input_file])
     plan, probe = px.resolve_plan(ds, plan, ocr_latency_ms=ocr_latency_ms,
                                   ocr_burn=ocr_burn)
-    n_in = probe.docs if probe.exact else None
-    if n_in is None and input_file.endswith(".parquet"):
-        import pyarrow.parquet as pq
-
-        n_in = pq.read_metadata(input_file).num_rows
     pool = px.ocr_pool(probe, ocr_burn=ocr_burn,
                        ocr_latency_ms=ocr_latency_ms, cap=ocr_concurrency,
                        pipelines=pipelines, plan=plan)
@@ -195,11 +191,11 @@ def _run_partition(
         "plan": plan,
         **_partition_metrics(tmp_dir),
     }
-    if n_in is not None and record["docs"] != n_in:
+    if probe.total is not None and record["docs"] != probe.total:
         # every input document has an output row (an empty span list at
         # least); a missing one was lost, never commit it as done
         raise RuntimeError(f"partition {pid} ({input_file}): extracted "
-                           f"{record['docs']} of {n_in} documents")
+                           f"{record['docs']} of {probe.total} documents")
     if metrics_sink is not None:
         # drain THIS partition's actor resource samples (the write +
         # metrics read above give in-flight fire-and-forget pushes time

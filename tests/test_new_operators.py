@@ -113,35 +113,45 @@ def test_sessionize_gap_splits(ray_session):
     assert [r["n_events"] for r in rows] == [3, 2, 1]
     assert rows[0]["sum_value"] == 3.0
 
+    # empty input: no sessions, and still the five output columns
+    empty = relational.sessionize(rd.from_arrow(events.slice(0, 0)))
+    assert empty.count() == 0
+    assert empty.schema().names == ["user_id", "session_start",
+                                    "session_end", "n_events", "sum_value"]
+
 
 def test_merge_open_sessions_chain():
     # a user whose locally-maximal sessions span THREE consecutive
     # blocks must collapse to one session; a super-gap user stays split
     gap_us = 30 * 60 * 1_000_000
     m = 60 * 1_000_000  # one minute in us
-    rows = [
+    rows = pa.Table.from_pylist([
         {"user_id": 1, "start_us": 0, "end_us": 10 * m,
-         "n_events": 2, "micro": 2_000_000, "__open": 1},
+         "n_events": 2, "micro": 2_000_000, "chain": -1},
         {"user_id": 1, "start_us": 20 * m, "end_us": 40 * m,
-         "n_events": 3, "micro": 3_000_000, "__open": 1},
+         "n_events": 3, "micro": 3_000_000, "chain": -1},
         {"user_id": 1, "start_us": 60 * m, "end_us": 65 * m,
-         "n_events": 1, "micro": 1_000_000, "__open": 1},
+         "n_events": 1, "micro": 1_000_000, "chain": -1},
         {"user_id": 2, "start_us": 0, "end_us": 5 * m,
-         "n_events": 1, "micro": 500_000, "__open": 1},
+         "n_events": 1, "micro": 500_000, "chain": -1},
         {"user_id": 2, "start_us": 100 * m, "end_us": 105 * m,
-         "n_events": 1, "micro": 500_000, "__open": 1},
-    ]
+         "n_events": 1, "micro": 500_000, "chain": -1},
+    ], schema=relational._SESSION_SCHEMA)
     out = relational._merge_open_sessions(rows, gap_us).to_pylist()
     u1 = [r for r in out if r["user_id"] == 1]
     assert len(u1) == 1
     assert u1[0]["start_us"] == 0 and u1[0]["end_us"] == 65 * m
     assert u1[0]["n_events"] == 6 and u1[0]["micro"] == 6_000_000
     assert len([r for r in out if r["user_id"] == 2]) == 2
-    assert relational._merge_open_sessions([], gap_us).num_rows == 0
+    assert relational._merge_open_sessions(rows.slice(0, 0),
+                                           gap_us).num_rows == 0
 
 
-def test_sessionize_exact_when_user_run_splits_blocks(ray_session):
+def test_sessionize_exact_when_user_run_splits_blocks(ray_session,
+                                                     monkeypatch):
     import ray.data as rd
+
+    from ollama_ocr_ray.functions import folds
 
     # ADVICE r3 medium: sort on (user_id, ts) range-partitions by the
     # COMPOSITE key, so one hot user's events land across many sorted
@@ -162,14 +172,17 @@ def test_sessionize_exact_when_user_run_splits_blocks(ray_session):
         }
     )
     ds = rd.from_arrow(events).repartition(20)
-    out = _collect(relational.sessionize(ds, gap_minutes=30)).to_pylist()
-    hot = [r for r in out if r["user_id"] == 1]
-    assert len(hot) == 1
-    assert hot[0]["n_events"] == n_hot
-    assert hot[0]["sum_value"] == float(n_hot)
-    ctl = sorted((r for r in out if r["user_id"] == 2),
-                 key=lambda r: r["session_start"])
-    assert [r["n_events"] for r in ctl] == [2, 2, 2]
+    # the driver residual fold, then the distributed one
+    for driver_max in (folds.DRIVER_RESIDUAL_MAX, 0):
+        monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", driver_max)
+        out = _collect(relational.sessionize(ds, gap_minutes=30)).to_pylist()
+        hot = [r for r in out if r["user_id"] == 1]
+        assert len(hot) == 1
+        assert hot[0]["n_events"] == n_hot
+        assert hot[0]["sum_value"] == float(n_hot)
+        ctl = sorted((r for r in out if r["user_id"] == 2),
+                     key=lambda r: r["session_start"])
+        assert [r["n_events"] for r in ctl] == [2, 2, 2]
 
 
 def test_events_hourly_exact_when_group_splits_blocks(ray_session):
@@ -203,13 +216,15 @@ def test_events_hourly_exact_when_group_splits_blocks(ray_session):
     assert by["b"]["sum_value"] == 1.5
 
 
-def test_keep_min_and_droplist_exact_under_hot_key_splits(ray_session):
+def test_keep_min_and_droplist_exact_under_hot_key_splits(ray_session,
+                                                          monkeypatch):
     """One text duplicated across 20 input blocks: its sorted hash /
     fingerprint run can split across blocks, and both keep-min dedup
     folds must still keep exactly the global-min doc_id (round-4
     hardening of the ADVICE r3 class)."""
     import ray.data as rd
 
+    from ollama_ocr_ray.functions import folds
     from ollama_ocr_ray.functions.dedup import exact_droplist
     from ollama_ocr_ray.functions.prep import dedup_keep_min
 
@@ -223,12 +238,6 @@ def test_keep_min_and_droplist_exact_under_hot_key_splits(ray_session):
         }
     )
     ds = rd.from_arrow(rows).repartition(20)
-    dropped = sorted(
-        r["doc_id"] for r in _collect(exact_droplist(ds)).to_pylist()
-    )
-    # every hot doc except the global min (10) is dropped, uniques kept
-    assert dropped == list(range(11, 10 + n_hot))
-
     # keep-min over an annotated-shaped table with a hot fingerprint
     ann = pa.table(
         {
@@ -238,13 +247,23 @@ def test_keep_min_and_droplist_exact_under_hot_key_splits(ray_session):
             "n_chars": pa.array([5] * (n_hot + 2), type=pa.int64()),
         }
     )
-    kept = sorted(
-        (r["fingerprint"], r["doc_id"])
-        for r in _collect(
-            dedup_keep_min(rd.from_arrow(ann).repartition(20))
-        ).to_pylist()
-    )
-    assert kept == [("fpA", 1), ("fpB", 2), ("hotfp", 10)]
+    # the driver residual fold, then the distributed one
+    for driver_max in (folds.DRIVER_RESIDUAL_MAX, 0):
+        monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", driver_max)
+        dropped = sorted(
+            r["doc_id"] for r in _collect(exact_droplist(ds)).to_pylist()
+        )
+        # every hot doc except the global min (10) is dropped, uniques
+        # kept
+        assert dropped == list(range(11, 10 + n_hot))
+
+        kept = sorted(
+            (r["fingerprint"], r["doc_id"])
+            for r in _collect(
+                dedup_keep_min(rd.from_arrow(ann).repartition(20))
+            ).to_pylist()
+        )
+        assert kept == [("fpA", 1), ("fpB", 2), ("hotfp", 10)]
 
 
 def test_dedup_keep_min_empty_input(ray_session):
@@ -275,14 +294,15 @@ def test_dedup_keep_min_empty_input(ray_session):
     assert typed.schema().names == ANNOTATE_SCHEMA.names
 
 
-def test_exact_segment_fold_unit(ray_session):
+def test_exact_segment_fold_unit(ray_session, monkeypatch):
     """Direct unit test of the boundary-routing helper: a key spanning
     two blocks (deterministic via union of single-block datasets) folds
     once in the residual pass, never per fragment; the r5 distributed
-    residual path (forced via driver_max=0) gives identical results;
-    an empty dataset stays empty."""
+    residual path (forced via DRIVER_RESIDUAL_MAX=0) gives identical
+    results; an empty dataset stays empty."""
     import ray.data as rd
 
+    from ollama_ocr_ray.functions import folds
     from ollama_ocr_ray.functions.folds import exact_segment_fold
 
     raw = pa.schema([("k", pa.int64()), ("v", pa.int64())])
@@ -318,18 +338,21 @@ def test_exact_segment_fold_unit(ray_session):
     # every key folded exactly once, split key summed across fragments
     assert got == {1: (10, 1), 2: (7, 1), 3: (30, 1)}
 
-    # driver_max=0 forces the DISTRIBUTED residual pass (hash-exchange
-    # by key + one sort+fold task per partition): identical output.
+    # DRIVER_RESIDUAL_MAX=0 forces the DISTRIBUTED residual pass
+    # (hash-exchange by key + one sort+fold task per partition):
+    # identical output.
+    monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", 0)
     got_dist = {r["k"]: (r["total"], r["frags"])
                 for r in exact_segment_fold(
                     ds, key_cols=["k"], fold=fold, raw_schema=raw,
-                    out_schema=out, driver_max=0).take_all()}
+                    out_schema=out).take_all()}
     assert got_dist == got
 
     # multi-partition distributed residual: many blocks, every block a
-    # single-key boundary segment (all rows raw), rows_per_task=1 so
-    # the exchange fans out to multiple fold tasks; exact totals and
-    # one fold per key are still required.
+    # single-key boundary segment (all rows raw), one residual row per
+    # task so the exchange fans out to multiple fold tasks; exact
+    # totals and one fold per key are still required.
+    monkeypatch.setattr(folds, "RESIDUAL_ROWS_PER_TASK", 1)
     blocks = [pa.table({"k": pa.array([i // 3], type=pa.int64()),
                         "v": pa.array([i], type=pa.int64())})
               for i in range(30)]
@@ -339,7 +362,7 @@ def test_exact_segment_fold_unit(ray_session):
     got_wide = {r["k"]: (r["total"], r["frags"])
                 for r in exact_segment_fold(
                     wide, key_cols=["k"], fold=fold, raw_schema=raw,
-                    out_schema=out, driver_max=0, rows_per_task=1).take_all()}
+                    out_schema=out).take_all()}
     expect = {k: (sum(range(3 * k, 3 * k + 3)), 1) for k in range(10)}
     assert got_wide == expect
 
@@ -349,14 +372,15 @@ def test_exact_segment_fold_unit(ray_session):
         out_schema=out).count() == 0
 
 
-def test_exact_segment_fold_hot_key_distributed(ray_session):
+def test_exact_segment_fold_hot_key_distributed(ray_session, monkeypatch):
     """The r4 scale-killer scenario: ONE hot key whose sorted run spans
-    MANY blocks, residual far above driver_max — the old driver-only
+    MANY blocks, residual far above the driver bound — the old driver-only
     path would refuse at the cap; the r5 distributed pass must fold the
     hot key exactly once (all its rows hash to one partition task) and
     keep every key's output in one block."""
     import ray.data as rd
 
+    from ollama_ocr_ray.functions import folds
     from ollama_ocr_ray.functions.dedup import _segment_bounds
     from ollama_ocr_ray.functions.folds import exact_segment_fold
 
@@ -396,10 +420,12 @@ def test_exact_segment_fold_hot_key_distributed(ray_session):
     for b in hot_blocks[1:]:
         ds = ds.union(rd.from_arrow(b))
     ds = ds.union(rd.from_arrow(cold))
+    monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", 1000)
+    monkeypatch.setattr(folds, "RESIDUAL_ROWS_PER_TASK", 8192)
     got = {r["k"]: (r["total"], r["frags"])
            for r in exact_segment_fold(
                ds, key_cols=["k"], fold=fold, raw_schema=raw,
-               out_schema=out, driver_max=1000, rows_per_task=8192).take_all()}
+               out_schema=out).take_all()}
     n_hot = n_blocks * per_block
     assert got[5] == (n_hot * (n_hot - 1) // 2, 1)
     for i in range(n_blocks):
@@ -469,11 +495,14 @@ def test_joins_exact_under_hot_key_splits(ray_session):
     assert [(r["k"], r["a"]) for r in kept] == [(2, 200)]
 
 
-def test_asof_partitioned_exact_under_hot_key_splits(ray_session):
+def test_asof_partitioned_exact_under_hot_key_splits(ray_session,
+                                                    monkeypatch):
     """A customer with thousands of keyed rows spans many sorted
-    blocks; the boundary-key driver merge must still give every event
-    its true at-or-before order (round-4 hardening)."""
+    blocks; the boundary-key merge (driver or distributed) must still
+    give every event its true at-or-before order (round-4 hardening)."""
     import ray.data as rd
+
+    from ollama_ocr_ray.functions import folds
 
     def us(day):
         return np.datetime64(f"2024-01-{day:02d}", "us")
@@ -495,20 +524,23 @@ def test_asof_partitioned_exact_under_hot_key_splits(ray_session):
             "ts": pa.array([us(28)] * n + [us(4), us(9)]),
         }
     )
-    out = _collect(
-        relational.asof_last_order_partitioned(
-            rd.from_arrow(events).repartition(10),
-            rd.from_arrow(orders).repartition(10),
+    # the driver residual fold, then the distributed one
+    for driver_max in (folds.DRIVER_RESIDUAL_MAX, 0):
+        monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", driver_max)
+        out = _collect(
+            relational.asof_last_order_partitioned(
+                rd.from_arrow(events).repartition(10),
+                rd.from_arrow(orders).repartition(10),
+            )
+        ).to_pylist()
+        assert len(out) == n + 2
+        by_event = {r["event_id"]: r["last_order_date"] for r in out}
+        # hot user's events at day 28: latest order is day 27
+        assert all(
+            str(by_event[i]).startswith("2024-01-27") for i in range(n)
         )
-    ).to_pylist()
-    assert len(out) == n + 2
-    by_event = {r["event_id"]: r["last_order_date"] for r in out}
-    # hot user's events at day 28: latest order is day 27
-    assert all(
-        str(by_event[i]).startswith("2024-01-27") for i in range(n)
-    )
-    assert by_event[90001] is None              # before user 2's order
-    assert by_event[90002] is None              # unknown user
+        assert by_event[90001] is None          # before user 2's order
+        assert by_event[90002] is None          # unknown user
 
 
 # --- n-gram Jaccard dedup ---------------------------------------------------

@@ -21,7 +21,7 @@ def cpus(monkeypatch):
 
 
 def _probe(n_docs: int, media: float = 1.0) -> DocProbe:
-    return DocProbe(n_docs, True, media)
+    return DocProbe(n_docs, n_docs, media)
 
 
 def _batches(pool, n_docs: int) -> int:
@@ -48,7 +48,7 @@ def test_large_or_unknown_input_gets_the_cap(cpus):
     assert ocr_pool(probe=_probe(10**5), **LATENCY).actors == 12
     assert ocr_pool(probe=_probe(10**5), cap=8, **LATENCY).actors == 8
     # a sample cut at sample_docs says nothing about the input's size
-    inexact = _probe(16)._replace(exact=False)
+    inexact = _probe(16)._replace(total=None)
     assert ocr_pool(probe=inexact, **LATENCY).actors == 12
     cpus(32)
     assert ocr_pool(probe=_probe(10**6), **LATENCY).actors == 112
@@ -102,7 +102,7 @@ def test_split_pool_is_sized_from_the_samples_span_work(cpus):
     from the sample's work, not the cap, the fold is one of its actors,
     and a block holds a quarter of the heavy document's rows."""
     cpus(4)
-    probe = DocProbe(512, False, 263 / 512, 260)
+    probe = DocProbe(512, None, 263 / 512, 260)
     pool = ocr_pool(probe=probe, ocr_latency_ms=20.0, plan="split")
     assert (pool.actors, pool.num_cpus, pool.batch_size) == (4, 0.25, 66)
     # light documents keep the block floor
@@ -197,7 +197,7 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
     assert s["docs"] == 16
     assert len(calls) == 2
     for probe, kw in calls:
-        assert isinstance(probe, DocProbe) and probe.exact
+        assert isinstance(probe, DocProbe) and probe.total == 8
         assert probe.docs == 8 and kw["pipelines"] == 2
 
     def decisions(run) -> list:
@@ -223,9 +223,9 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
                     wave=2)
     assert s["docs"] == 16 and len(calls) == 2
     for probe, kw in calls:
-        assert probe.exact and probe.docs == 8
+        assert probe.total == 8 and probe.docs == 8
         assert pool_rule(probe, **kw).actors \
-            < pool_rule(probe._replace(exact=False), **kw).actors
+            < pool_rule(probe._replace(total=None), **kw).actors
     fused, lost = px.PLANS["fused"], rows[0]["doc_id"]
     monkeypatch.setitem(px.PLANS, "fused", lambda ds, pool, **kw: fused(
         ds, pool, **kw).filter(lambda r: r["doc_id"] != lost))

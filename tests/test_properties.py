@@ -6,6 +6,8 @@ fused plan (zero-shuffle) plus the kernel's stages run one by one — the
 per-policy three-way equality is covered in test_policies.py.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -560,11 +562,12 @@ def test_neardup_ingest_partitioning_invariant(ray_session, seed, n_parts):
 def test_segment_fold_distributed_equals_pandas(ray_session, seed,
                                                 n_blocks, key_range):
     """r5 distributed residual: for ANY random (keys, blocks) layout,
-    exact_segment_fold with the distributed path FORCED (driver_max=0,
-    multi-task fan-out) equals a pandas groupby — per-key sums and a
-    single fold per key."""
+    exact_segment_fold with the distributed path FORCED
+    (DRIVER_RESIDUAL_MAX=0, multi-task fan-out) equals a pandas
+    groupby — per-key sums and a single fold per key."""
     import ray.data as rd
 
+    from ollama_ocr_ray.functions import folds
     from ollama_ocr_ray.functions.dedup import _segment_bounds
     from ollama_ocr_ray.functions.folds import exact_segment_fold
 
@@ -599,14 +602,71 @@ def test_segment_fold_distributed_equals_pandas(ray_session, seed,
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         piece = rd.from_arrow(t.slice(lo, hi - lo))
         ds = piece if ds is None else ds.union(piece)
-    got = {r["k"]: (r["total"], r["folds"])
-           for r in exact_segment_fold(
-               ds, key_cols=["k"], fold=fold, raw_schema=raw,
-               out_schema=out, driver_max=0, rows_per_task=7).take_all()}
+    # patch.object, not monkeypatch: a function-scoped fixture trips
+    # hypothesis' health check
+    with patch.object(folds, "DRIVER_RESIDUAL_MAX", 0), \
+            patch.object(folds, "RESIDUAL_ROWS_PER_TASK", 7):
+        got = {r["k"]: (r["total"], r["folds"])
+               for r in exact_segment_fold(
+                   ds, key_cols=["k"], fold=fold, raw_schema=raw,
+                   out_schema=out).take_all()}
     import pandas as pd
 
     exp = pd.DataFrame({"k": keys, "v": vals}).groupby("k")["v"].sum()
     assert got == {int(k): (int(v), 1) for k, v in exp.items()}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 9), st.integers(1, 4))
+def test_sessionize_distributed_equals_python(ray_session, seed, n_blocks,
+                                              n_users):
+    """For ANY random events split into 2-9 input blocks, ``sessionize``
+    with its boundary fold FORCED distributed (DRIVER_RESIDUAL_MAX=0,
+    two residual rows per task, so a user's boundary sessions meet
+    only if they share the fold key) equals a plain-Python
+    sessionization: the same sessions, event counts and micro-exact
+    sums."""
+    import ray.data as rd
+
+    from ollama_ocr_ray.functions import folds, relational
+
+    rng = np.random.RandomState(seed)
+    n = int(rng.randint(1, 200))
+    gap_us = 30 * 60 * 1_000_000
+    users = rng.randint(0, n_users, size=n).astype(np.int64)
+    # minutes over ten hours: gaps fall on both sides of 30 minutes
+    ts = (rng.randint(0, 600, size=n) * 60 * 1_000_000).astype(np.int64)
+    vals = np.round(rng.uniform(0, 10, size=n), 3)
+    t = pa.table({"user_id": pa.array(users),
+                  "ts": pa.array(ts).cast(pa.timestamp("us")),
+                  "value": pa.array(vals)})
+    cuts = np.sort(rng.randint(0, n + 1, size=n_blocks - 1))
+    bounds = [0, *cuts.tolist(), n]
+    ds = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        piece = rd.from_arrow(t.slice(lo, hi - lo))
+        ds = piece if ds is None else ds.union(piece)
+    with patch.object(folds, "DRIVER_RESIDUAL_MAX", 0), \
+            patch.object(folds, "RESIDUAL_ROWS_PER_TASK", 2):
+        out = pa.concat_tables(relational.sessionize(
+            ds, gap_minutes=30).iter_batches(batch_size=None,
+                                             batch_format="pyarrow"))
+    got = sorted(zip(*(out.column(c).cast(pa.int64()).to_pylist()
+                       for c in ("user_id", "session_start", "session_end",
+                                 "n_events")),
+                     out.column("sum_value").to_pylist()))
+
+    want, cur = [], None
+    for u, s, v in sorted(zip(users.tolist(), ts.tolist(), vals.tolist())):
+        micro = int(np.floor(v * 1e6 + 0.5))
+        if cur is not None and cur[0] == u and s - cur[2] <= gap_us:
+            cur = [u, cur[1], s, cur[3] + 1, cur[4] + micro]
+        else:
+            if cur is not None:
+                want.append(cur)
+            cur = [u, s, s, 1, micro]
+    want.append(cur)
+    assert got == sorted((u, s, e, k, m / 1e6) for u, s, e, k, m in want)
 
 
 @settings(max_examples=6, deadline=None)

@@ -201,7 +201,7 @@ def test_parquet_probe_reads_the_head_in_file_order_without_ray(
     for _ in range(5):
         assert choose_plan(read_documents(str(tmp_path)), ocr_latency_ms=20.0,
                            with_probe=True) \
-            == ("split", DocProbe(512, False, media / 512, 260))
+            == ("split", DocProbe(512, 1024, media / 512, 260))
 
 
 def test_parquet_probe_counts_every_file_and_samples_across_them(
@@ -218,12 +218,12 @@ def test_parquet_probe_counts_every_file_and_samples_across_them(
             pq.write_table(table.slice(200 * i, 200),
                            str(src / f"part-{i}.parquet"))
         _, probe = choose_plan(read_documents(str(src)), with_probe=True)
-        assert (probe.docs, probe.exact, probe.media_max) == (512, False,
+        assert (probe.docs, probe.total, probe.media_max) == (512, 600,
                                                                heavy)
     pq.write_table(_heavy_at(0, 512), str(tmp_path / "exact.parquet"))
     _, probe = choose_plan(read_documents(str(tmp_path / "exact.parquet")),
                            with_probe=True)
-    assert (probe.docs, probe.exact) == (512, True)
+    assert (probe.docs, probe.total) == (512, 512)
 
 
 def test_footer_probe_applies_only_to_the_dataset_read_documents_returned(
@@ -233,7 +233,7 @@ def test_footer_probe_applies_only_to_the_dataset_read_documents_returned(
     pq.write_table(_heavy_at(300), str(tmp_path / "part-00000.parquet"))
     _, probe = choose_plan(read_documents(str(tmp_path)).limit(10),
                            with_probe=True)
-    assert (probe.docs, probe.exact) == (10, True)
+    assert (probe.docs, probe.total) == (10, 10)
 
 
 def test_jsonl_probe_samples_the_head_in_input_order(ray_session, tmp_path,
@@ -299,16 +299,23 @@ def test_mistyped_parquet_spans_fail_before_any_pipeline_runs(
 
 def test_fused_pool_over_a_long_parquet_input_is_sized_from_its_footers(
         ray_session, tmp_path):
-    """Past the 512-doc sample, ``resolve_plan`` gives the fused plan the
-    footers' count (an exact probe, so ``ocr_pool`` sizes the pool from
-    the work instead of giving it the actor cap); the split plan keeps
-    the sample."""
+    """Past the 512-doc sample, the probe carries the footers' count
+    (``total``), so ``ocr_pool`` sizes the fused pool from the whole
+    input's work instead of giving it the actor cap; the split plan
+    keeps the sample."""
     pq.write_table(_heavy_at(300), str(tmp_path / "part-00000.parquet"))
     ds = read_documents(str(tmp_path))
     plan, probe = px.resolve_plan(ds, "fused", ocr_latency_ms=20.0)
-    assert (plan, probe.docs, probe.exact) == ("fused", 1024, True)
+    assert (plan, probe.docs, probe.total) == ("fused", 512, 1024)
+    whole = probe._replace(docs=1024)
+    assert px.ocr_pool(probe, ocr_latency_ms=20.0) \
+        == px.ocr_pool(whole, ocr_latency_ms=20.0) \
+        != px.ocr_pool(probe._replace(total=None), ocr_latency_ms=20.0)
     plan, probe = px.resolve_plan(ds, None, ocr_latency_ms=20.0)
-    assert (plan, probe.docs, probe.exact) == ("split", 512, False)
+    assert (plan, probe.docs, probe.total) == ("split", 512, 1024)
+    assert px.ocr_pool(probe, ocr_latency_ms=20.0, plan="split") \
+        == px.ocr_pool(probe._replace(total=None), ocr_latency_ms=20.0,
+                       plan="split")
 
 
 # --- the plan on Ray ------------------------------------------------------
