@@ -10,10 +10,11 @@ assumption generically:
 
 - because the input is GLOBALLY sorted, a key whose run splits is by
   contiguity the FIRST or LAST segment of every block containing it;
-- so each block folds only its INTERIOR segments (complete by
-  construction) and passes the raw rows of its two boundary segments
-  through untouched;
-- the boundary residual (rows of <= 2 keys per block) is re-folded
+- so the sort output is materialized once and read by two passes:
+  one folds each block's INTERIOR segments (complete by
+  construction), the other keeps the raw rows of each block's two
+  boundary segments;
+- that boundary residual (rows of <= 2 keys per block) is re-folded
   ONCE per key with the same fold function, then unioned back.
 
 The residual grows with block count (~2 x avg-segment-rows x
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -162,84 +162,58 @@ def exact_segment_fold(sorted_ds, *, key_cols: list[str], fold,
                        raw_schema: pa.Schema, out_schema: pa.Schema):
     """Per-key-segment ``fold`` over a sorted Dataset, exact under
     equal-key block splits (module doc).  Returns a Dataset with
-    ``out_schema`` rows.  Residuals above ``DRIVER_RESIDUAL_MAX`` rows
+    ``out_schema`` rows.
+
+    The sort output is materialized once and read by two passes, one
+    task per block each: ``fold_block`` folds the interior segments
+    into ``out_schema`` rows, and ``boundary_rows`` keeps the rows of
+    the first and last segment as ``raw_schema`` rows (the residual).
+    While they run the sort output is held; afterwards the folded rows
+    and the residual are.  Residuals above ``DRIVER_RESIDUAL_MAX`` rows
     run the distributed hash-partitioned pass instead of the driver's.
     """
     from .dedup import _segment_bounds
 
-    mixed_schema = pa.schema(
-        [(f.name, f.type) for f in out_schema]
-        + [("__r_" + f.name, f.type) for f in raw_schema]
-        + [("__kind", pa.int8())]
-    )
-
-    def fold_block(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return mixed_schema.empty_table()
-        batch = batch.combine_chunks()
+    def boundary(batch: pa.Table) -> np.ndarray:
         starts, ends = _segment_bounds(
             *[batch.column(c) for c in key_cols]
         )
-        n = batch.num_rows
-        boundary = np.zeros(n, dtype=bool)
-        boundary[starts[0]:ends[0]] = True
-        boundary[starts[-1]:ends[-1]] = True
-        interior = batch.filter(pa.array(~boundary))
-        raw = batch.filter(pa.array(boundary)).select(
-            raw_schema.names
-        ).cast(raw_schema).combine_chunks()
-        out = fold(interior).combine_chunks()
-        out_part = pa.table(
-            {
-                **{f.name: out.column(f.name) for f in out_schema},
-                **{"__r_" + f.name: pa.nulls(out.num_rows, f.type)
-                   for f in raw_schema},
-                "__kind": pa.array(np.zeros(out.num_rows, dtype=np.int8)),
-            }
-        ).cast(mixed_schema)
-        raw_part = pa.table(
-            {
-                **{f.name: pa.nulls(raw.num_rows, f.type)
-                   for f in out_schema},
-                **{"__r_" + f.name: raw.column(f.name)
-                   for f in raw_schema},
-                "__kind": pa.array(np.ones(raw.num_rows, dtype=np.int8)),
-            }
-        ).cast(mixed_schema)
-        return pa.concat_tables([out_part, raw_part])
+        mask = np.zeros(batch.num_rows, dtype=bool)
+        mask[starts[0]:ends[0]] = True
+        mask[starts[-1]:ends[-1]] = True
+        return mask
 
-    folded = sorted_ds.map_batches(
-        fold_block, batch_size=None, batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-
-    def keep_out(batch: pa.Table) -> pa.Table:
+    def fold_block(batch: pa.Table) -> pa.Table:
         if batch.num_columns == 0 or batch.num_rows == 0:
             return out_schema.empty_table()
         batch = batch.combine_chunks()
-        return batch.filter(
-            pc.equal(batch.column("__kind"), 0)
-        ).select(out_schema.names).cast(out_schema)
+        interior = batch.filter(pa.array(~boundary(batch)))
+        return fold(interior).combine_chunks().select(
+            out_schema.names
+        ).cast(out_schema)
 
-    def keep_raw(batch: pa.Table) -> pa.Table:
+    def boundary_rows(batch: pa.Table) -> pa.Table:
         if batch.num_columns == 0 or batch.num_rows == 0:
             return raw_schema.empty_table()
         batch = batch.combine_chunks()
-        sel = batch.filter(pc.equal(batch.column("__kind"), 1))
-        return pa.table(
-            {f.name: sel.column("__r_" + f.name) for f in raw_schema}
+        return batch.filter(pa.array(boundary(batch))).select(
+            raw_schema.names
         ).cast(raw_schema)
 
-    closed = folded.map_batches(keep_out, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    res_mat = folded.map_batches(
-        keep_raw, batch_format="pyarrow", zero_copy_batch=True
+    blocks = sorted_ds.materialize()
+    if blocks.schema() is None:
+        # an empty input leaves no block to carry the schema
+        return ray.data.from_arrow(out_schema.empty_table())
+    closed = blocks.map_batches(
+        fold_block, batch_size=None, batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).materialize()
+    res_mat = blocks.map_batches(
+        boundary_rows, batch_size=None, batch_format="pyarrow",
+        zero_copy_batch=True,
     ).materialize()
     n_res = res_mat.count()
     if n_res == 0:
-        if folded.schema() is None:
-            # an empty input leaves no block to carry the schema
-            return ray.data.from_arrow(out_schema.empty_table())
         return closed
     if n_res > DRIVER_RESIDUAL_MAX:
         return closed.union(_fold_residual_distributed(

@@ -1044,76 +1044,6 @@ def top_orders_per_segment_join(orders, customer, n: int = 3):
 # --- general large-x-large equi-join ----------------------------------------
 
 
-def assert_sorted_block_invariant(sorted_ds, key_cols: list[str]) -> int:
-    """Debug guard for the sorted-block invariant (see ``hash_join``).
-
-    Reduces each block of an already-sorted Dataset to its (min, max)
-    key tuple — a few rows per block cross the wire, never the data —
-    and asserts on the driver that no key appears in two blocks (ranges
-    may not touch).  Returns the number of blocks checked.  Cheap
-    enough to run on a sample of a 100 TB job; tests run it on every
-    sorted-kernel plan at full (test) size.
-    """
-
-    def bounds(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {c: pa.nulls(0, type=batch.schema.field(c).type)
-                 for c in key_cols} | {"__pos": pa.nulls(0, pa.string())}
-            )
-        batch = batch.combine_chunks()
-        lo = batch.select(key_cols).slice(0, 1)
-        hi = batch.select(key_cols).slice(len(batch) - 1, 1)
-        t = pa.concat_tables([lo, hi])
-        return t.append_column("__pos", pa.array(["min", "max"]))
-
-    # batch_size=None => one call per block, so each output pair IS one
-    # block's bounds; take_all is bounded (2 rows per block)
-    rows = sorted_ds.map_batches(
-        bounds, batch_size=None, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()
-    blocks = []
-    for i in range(0, len(rows) - 1, 2):
-        lo, hi = rows[i], rows[i + 1]
-        # the __pos tags make the pairing self-validating: if row order
-        # ever stops being (min, max) adjacent per block, fail loudly
-        # instead of silently comparing wrong tuples
-        if lo["__pos"] != "min" or hi["__pos"] != "max":
-            raise AssertionError(
-                "bounds rows arrived unpaired/reordered "
-                f"(__pos = {lo['__pos']!r}, {hi['__pos']!r}); the "
-                "debug guard's row-order assumption no longer holds"
-            )
-        blocks.append((tuple(lo[c] for c in key_cols),
-                       tuple(hi[c] for c in key_cols)))
-    blocks.sort()
-    for (prev_lo, prev_hi), (cur_lo, cur_hi) in zip(blocks, blocks[1:]):
-        if cur_lo <= prev_hi:
-            raise AssertionError(
-                f"sorted-block invariant violated: key {cur_lo!r} spans "
-                f"two blocks (prev block ends at {prev_hi!r}) — a key's "
-                f"rows exceed target_max_block_size; pre-aggregate, salt, "
-                f"or raise the block size (see hash_join docstring)"
-            )
-    return len(blocks)
-
-
-def _maybe_guard_sorted(sorted_ds, key_cols: list[str]):
-    """Opt-in production guard (VERDICT r3 #6): with
-    ``GRAFT_DEBUG_INVARIANTS=1`` the sorted exchange is materialized
-    once and ``assert_sorted_block_invariant`` verifies no equal-key
-    run spans two blocks BEFORE the merge consumes it — the job fails
-    loudly instead of silently emitting partial folds.  Debug-mode
-    cost: one extra bounded scan (2 rows per block cross the wire) +
-    holding the sorted blocks; off by default."""
-    import os
-
-    if os.environ.get("GRAFT_DEBUG_INVARIANTS") == "1":
-        sorted_ds = sorted_ds.materialize()
-        assert_sorted_block_invariant(sorted_ds, key_cols)
-    return sorted_ds
-
-
 def probe_hot_keys(ds, key: str, *, min_rows: int, m: int = 8,
                    cap: int = 1024) -> set:
     """Bounded skew probe: per-block top-``m`` key counts, merged, keys
@@ -1187,9 +1117,7 @@ def hash_join(left, right, *, key: str, left_cols: list[str],
     key output guarantee for the salted keys (each salt group is its
     own segment), so callers relying on per-key locality must keep
     ``salt_hot=0``.  Non-hot keys are byte-identical to the default
-    plan either way.  ``assert_sorted_block_invariant`` remains as the
-    ``GRAFT_DEBUG_INVARIANTS=1`` probe.  Each side's payload crosses
-    the wire exactly once.
+    plan either way.  Each side's payload crosses the wire exactly once.
     """
     lschema = left.schema().base_schema
     rschema = right.schema().base_schema
@@ -1319,7 +1247,7 @@ def hash_join(left, right, *, key: str, left_cols: list[str],
         + [(c, rtypes[c]) for c in right_cols]
     )
     return exact_segment_fold(
-        _maybe_guard_sorted(tagged.sort(["__k", "__s"]), ["__k", "__s"]),
+        tagged.sort(["__k", "__s"]),
         key_cols=["__k", "__s"], fold=merge_block,
         raw_schema=tagged_schema, out_schema=out_schema,
     )
@@ -1391,7 +1319,7 @@ def anti_join(left, right, *, key: str, left_cols: list[str]):
         + [(c, ltypes[c]) for c in left_cols]
     )
     return exact_segment_fold(
-        _maybe_guard_sorted(tagged.sort("__k"), ["__k"]),
+        tagged.sort("__k"),
         key_cols=["__k"], fold=merge_block,
         raw_schema=tagged_schema, out_schema=out_schema,
     )

@@ -297,9 +297,10 @@ def test_dedup_keep_min_empty_input(ray_session):
 def test_exact_segment_fold_unit(ray_session, monkeypatch):
     """Direct unit test of the boundary-routing helper: a key spanning
     two blocks (deterministic via union of single-block datasets) folds
-    once in the residual pass, never per fragment; the r5 distributed
-    residual path (forced via DRIVER_RESIDUAL_MAX=0) gives identical
-    results; an empty dataset stays empty."""
+    once in the residual pass, never per fragment, also with an empty
+    block between its halves; the r5 distributed residual path (forced
+    via DRIVER_RESIDUAL_MAX=0) gives identical results; an empty
+    dataset stays empty."""
     import ray.data as rd
 
     from ollama_ocr_ray.functions import folds
@@ -331,22 +332,27 @@ def test_exact_segment_fold_unit(ray_session, monkeypatch):
     b2 = pa.table({"k": pa.array([2, 3], type=pa.int64()),
                    "v": pa.array([4, 30], type=pa.int64())})
     ds = rd.from_arrow(b1).union(rd.from_arrow(b2))
-    got = {r["k"]: (r["total"], r["frags"])
-           for r in exact_segment_fold(
-               ds, key_cols=["k"], fold=fold, raw_schema=raw,
-               out_schema=out).take_all()}
+    # the same split key with an empty block between its two halves
+    gapped = rd.from_arrow(b1).union(
+        rd.from_arrow(raw.empty_table())).union(rd.from_arrow(b2))
+
+    def folded(d):
+        return {r["k"]: (r["total"], r["frags"])
+                for r in exact_segment_fold(
+                    d, key_cols=["k"], fold=fold, raw_schema=raw,
+                    out_schema=out).take_all()}
+
+    got = folded(ds)
     # every key folded exactly once, split key summed across fragments
     assert got == {1: (10, 1), 2: (7, 1), 3: (30, 1)}
+    assert folded(gapped) == got
 
     # DRIVER_RESIDUAL_MAX=0 forces the DISTRIBUTED residual pass
     # (hash-exchange by key + one sort+fold task per partition):
     # identical output.
     monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", 0)
-    got_dist = {r["k"]: (r["total"], r["frags"])
-                for r in exact_segment_fold(
-                    ds, key_cols=["k"], fold=fold, raw_schema=raw,
-                    out_schema=out).take_all()}
-    assert got_dist == got
+    assert folded(ds) == got
+    assert folded(gapped) == got
 
     # multi-partition distributed residual: many blocks, every block a
     # single-key boundary segment (all rows raw), one residual row per
@@ -359,12 +365,8 @@ def test_exact_segment_fold_unit(ray_session, monkeypatch):
     wide = rd.from_arrow(blocks[0])
     for b in blocks[1:]:
         wide = wide.union(rd.from_arrow(b))
-    got_wide = {r["k"]: (r["total"], r["frags"])
-                for r in exact_segment_fold(
-                    wide, key_cols=["k"], fold=fold, raw_schema=raw,
-                    out_schema=out).take_all()}
     expect = {k: (sum(range(3 * k, 3 * k + 3)), 1) for k in range(10)}
-    assert got_wide == expect
+    assert folded(wide) == expect
 
     empty = rd.from_arrow(raw.empty_table())
     assert exact_segment_fold(
@@ -925,53 +927,6 @@ def test_hash_join_hot_key_salted(ray_session):
     with pytest.raises(ValueError, match="salt_hot.*127"):
         relational.hash_join(cold_left, right, key="k", left_cols=["v"],
                              right_cols=["w"], salt_hot=300)
-
-
-def test_sorted_block_invariant_guard(ray_session):
-    import ray.data as rd
-
-    # well-partitioned sort: guard passes and reports >=1 block
-    ds = rd.range(5000).map_batches(
-        lambda b: {"k": b["id"] % 97, "v": b["id"]}, batch_format="numpy"
-    ).repartition(8).sort("k")
-    n_blocks = relational.assert_sorted_block_invariant(ds, ["k"])
-    assert n_blocks >= 1
-
-    # a hand-built violation (same key in two blocks) must raise
-    import pyarrow as pa
-
-    t1 = pa.table({"k": [1, 2, 2], "v": [0, 0, 0]})
-    t2 = pa.table({"k": [2, 3], "v": [0, 0]})
-    broken = rd.from_arrow([t1, t2])
-    with pytest.raises(AssertionError, match="sorted-block invariant"):
-        relational.assert_sorted_block_invariant(broken, ["k"])
-
-
-def test_debug_invariants_env_knob(ray_session, monkeypatch):
-    """GRAFT_DEBUG_INVARIANTS=1 (VERDICT r3 #6) runs the sorted-block
-    guard inside production join plans: a synthetic violation (one key
-    spanning two blocks) trips loudly; clean inputs pass through with
-    the guard active; the default is a no-op pass-through."""
-    import ray.data as rd
-
-    from ollama_ocr_ray.functions.relational import _maybe_guard_sorted
-
-    t1 = pa.table({"k": pa.array([1, 2], type=pa.int64())})
-    t2 = pa.table({"k": pa.array([2, 3], type=pa.int64())})
-    ds = rd.from_arrow(t1).union(rd.from_arrow(t2))
-    monkeypatch.delenv("GRAFT_DEBUG_INVARIANTS", raising=False)
-    assert _maybe_guard_sorted(ds, ["k"]) is ds
-    monkeypatch.setenv("GRAFT_DEBUG_INVARIANTS", "1")
-    with pytest.raises(AssertionError, match="spans"):
-        _maybe_guard_sorted(ds, ["k"])
-    # guard ON + clean input: hash_join still correct, nothing trips
-    left = rd.from_arrow(pa.table({"k": [1, 2, 3], "a": [10, 20, 30]}))
-    right = rd.from_arrow(pa.table({"k": [2, 3, 4],
-                                    "b": ["x", "y", "z"]}))
-    out = relational.hash_join(left, right, key="k", left_cols=["a"],
-                               right_cols=["b"])
-    assert sorted((r["k"], r["a"], r["b"]) for r in out.take_all()) == \
-        [(2, 20, "x"), (3, 30, "y")]
 
 
 def test_top_unshipped_matches_duckdb(ray_session):

@@ -10,8 +10,10 @@ while iterating); with none given every registry entry runs.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -43,7 +45,14 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
+    sf_dir = os.path.abspath(
+        sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01")
+    # import the checkout this script lives in, whatever the current
+    # directory: the driver through sys.path, Ray's workers through the
+    # driver's working directory, which ray.init puts on their path
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    os.chdir(root)
     import ray
 
     if not ray.is_initialized():
@@ -53,7 +62,6 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
