@@ -103,11 +103,11 @@ def tfidf_scores(docs, *, vocab_size: int = 1000, scale: int = 100,
         partial_counts=df_partial, allow_fewer=True,
         op="tfidf_vocab",
     ).take_all()
-    idf = {r["token"]: float(n_docs) / float(r["cnt"]) for r in vocab_rows}
+    vocab = pa.array([r["token"] for r in vocab_rows], type=pa.string())
+    idf = pa.array([float(n_docs) / float(r["cnt"]) for r in vocab_rows],
+                   type=pa.float64())
 
     def score(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         batch = batch.combine_chunks()
         toks = pc.utf8_split_whitespace(pc.utf8_lower(batch.column("text")))
         flat = pc.list_flatten(toks)
@@ -118,9 +118,10 @@ def tfidf_scores(docs, *, vocab_size: int = 1000, scale: int = 100,
         ).group_by(["p", "token"]).aggregate([([], "count_all")])
         p = pairs.column("p").to_numpy(zero_copy_only=False)
         tf = pairs.column("count_all").to_numpy(zero_copy_only=False)
-        w = pd.Series(pairs.column("token").to_pandas()).map(idf).to_numpy(
-            dtype=np.float64, na_value=np.nan
-        )
+        tokens = pairs.column("token")
+        # a token outside the vocabulary gets a null index, so NaN
+        w = idf.take(pc.index_in(tokens, value_set=vocab.cast(tokens.type))
+                     ).to_numpy(zero_copy_only=False)
         known = ~np.isnan(w)
         term = np.floor(
             tf[known].astype(np.float64) * w[known] * scale + 0.5
@@ -1012,28 +1013,24 @@ def source_boilerplate(docs, *, thr_bp: int = 8000, min_len: int = 3,
     """
     from ray.data.aggregate import Sum
 
-    n_by_source = {
-        r["source"]: r["count()"]
-        for r in docs.groupby("source").count().take_all()
-    }
+    counted = docs.groupby("source").count().take_all()
+    sources = pa.array([r["source"] for r in counted])
+    n_by_source = np.array([r["count()"] for r in counted], dtype=np.int64)
 
     def keep_hot(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         batch = batch.combine_chunks()
         skey = batch.column("skey")
         src = pc.list_element(
             pc.split_pattern(skey, _BOILER_SEP, max_splits=1), 0)
-        mapped = pd.Series(src.to_pandas()).map(n_by_source)
-        if mapped.isna().any():  # ADVICE r4: name the culprit, loudly
-            missing = sorted(set(
-                pd.Series(src.to_pandas())[mapped.isna()].tolist()))[:5]
+        at = pc.index_in(src, value_set=sources.cast(src.type))
+        if at.null_count:  # ADVICE r4: name the culprit, loudly
+            missing = sorted(set(src.filter(pc.is_null(at)).to_pylist()))[:5]
             raise RuntimeError(
                 "source_boilerplate: sources absent from the count "
                 f"pass reached the df pass: {missing} — the docs "
                 "lineage is non-deterministic between passes"
             )
-        nd = mapped.to_numpy(dtype=np.int64)
+        nd = n_by_source[at.to_numpy(zero_copy_only=False)]
         df = batch.column("df").to_numpy(zero_copy_only=False)
         return batch.filter(pa.array(df * 10000 > thr_bp * nd))
 

@@ -22,11 +22,14 @@ input order: the modeled OCR time of the heaviest one picks the plan,
 and the sample sizes the actor pool (``ocr_pool``).  A parquet input
 from ``sources.io.read_documents`` is probed on the driver from its
 footers (row count, schema) and head row groups (the spans' ``kind``
-leaf), with no Ray execution; any other Dataset by one ordered Ray Data
-sample.  ``resolve_plan`` is the one place the plan is decided;
-``auto_pipeline`` and the resumable runner
-(``state.runner.run_extract``) both go through it, then size one pool
-and hand it to the plan's builder in ``PLANS``.
+leaf), a JSONL one from its head lines, with no Ray execution; any
+other Dataset by one ordered Ray Data sample.  ``resolve_plan`` is the
+one place the plan is decided; ``auto_pipeline`` and the resumable
+runner (``state.runner.run_extract``) both go through it, then size
+one pool and hand it to the plan's builder in ``PLANS``.  The runner
+probes each input file, then runs the files of one plan as one
+Dataset whose rows carry their partition id (``schema.PID``); every
+stage passes that id through, and costs nothing without it.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import SUMMARY_SCHEMA, validate_documents
-from ..sources.io import parquet_files
+from ..schema import SUMMARY_SCHEMA, map_partitions, validate_documents
+from ..sources.io import source_files
 from ..stages.explode import explode_batch
 from ..stages.extract import extract_batch
 from ..stages.ocr import OcrModel
@@ -116,7 +119,7 @@ def _span_ms(ocr_burn: int, ocr_latency_ms: float) -> float:
 
 def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
              ocr_latency_ms: float = 0.0, cap: int | None = None,
-             pipelines: int = 1, plan: str = "fused") -> OcrPool:
+             plan: str = "fused", largest: DocProbe | None = None) -> OcrPool:
     """The one sizing rule for the extraction actor pool, from the
     input's ``DocProbe`` (``resolve_plan``).
 
@@ -126,11 +129,10 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
     (round-2 sweep, BASELINE.md); compute-bound work runs one 1-CPU
     actor per CPU.  ``cap`` (default: that footprint) bounds the actor
     count, and the clamp always leaves one whole CPU for the read
-    stage, split across ``pipelines`` running at once: a pool covering
-    every core starves the stream and it deadlocks (measured at
-    num_cpus=4, round 4).  The split plan's fold actor (``_FOLD_CPUS``)
-    comes out of each pipeline's share first: 12 span actors at 0.25
-    CPU plus the fold on 4 CPUs hung.
+    stage: a pool covering every core starves the stream and it
+    deadlocks (measured at num_cpus=4, round 4).  The split plan's fold
+    actor (``_FOLD_CPUS``) comes out of the rest first: 12 span actors
+    at 0.25 CPU plus the fold on 4 CPUs hung.
 
     Size: each actor costs ``_ACTOR_START_S`` and saves ``work / n``,
     so n = sqrt(work / start) minimizes the pipeline's wall time.
@@ -144,7 +146,29 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
     larger ``cap``); the fold is one of the n actors,
     and ``batch_size`` is span rows per block, enough to cut the
     heaviest sampled document into one block per actor.
+
+    Several partitions in one Dataset (``state.runner.run_extract``):
+    ``probe`` is their ``merge_probes`` and ``largest`` the probe of the
+    largest one.  On the fused plan the batch is the one ``largest``
+    alone would get, so each partition fills waves of its own batches
+    and commits before the job ends (a one-wave pool, batch = job /
+    actors, finishes every partition at the end); the actors come from
+    the merged work, cut to the fewest that run its batches in as many
+    waves, since an actor idle in the last wave only adds start-up
+    (BASELINE r6 "One Dataset per extract job").
     """
+    pool = _pool_rule(probe, ocr_burn, ocr_latency_ms, cap, plan)
+    if plan == "fused" and largest not in (None, probe) and probe.total:
+        batch_size = _pool_rule(largest, ocr_burn, ocr_latency_ms, cap,
+                                plan).batch_size
+        batches = math.ceil(probe.total / batch_size)
+        waves = math.ceil(batches / pool.actors)
+        pool = OcrPool(math.ceil(batches / waves), pool.num_cpus, batch_size)
+    return pool
+
+
+def _pool_rule(probe: DocProbe, ocr_burn: int, ocr_latency_ms: float,
+               cap: int | None, plan: str) -> OcrPool:
     cpus = _cluster_cpus()
     per_span_ms = _span_ms(ocr_burn, ocr_latency_ms)
     if ocr_latency_ms > ocr_burn * _BURN_MS_PER_ITER:
@@ -154,7 +178,7 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
     else:
         auto_cap, num_cpus, batch_size = cpus - 1, 1, 64
     fold_cpus = _FOLD_CPUS if plan == "split" else 0.0
-    budget = int(((cpus - 1) / pipelines - fold_cpus) / num_cpus)
+    budget = int((cpus - 1 - fold_cpus) / num_cpus)
     actors = max(1, min(auto_cap if cap is None else cap, budget))
     docs = probe.docs if plan == "split" else probe.total
     if docs is None:
@@ -172,6 +196,21 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
     return OcrPool(actors, num_cpus, batch_size)
 
 
+def merge_probes(probes: list[DocProbe]) -> DocProbe:
+    """One probe for several partitions run as one Dataset: documents,
+    totals (unknown if any is) and media spans summed, ``media_max``
+    the largest.  Over partitions the sample covers whole, it is the
+    probe of their files read together."""
+    if len(probes) == 1:
+        return probes[0]
+    docs = sum(p.docs for p in probes)
+    media = sum(round(p.media_mean * p.docs) for p in probes)
+    totals = [p.total for p in probes]
+    return DocProbe(docs, None if None in totals else sum(totals),
+                    media / docs if docs else 0.0,
+                    max(p.media_max for p in probes))
+
+
 class SpanExtractor:
     """explode + extract + OCR in ONE actor stage (document blocks in,
     span rows out).  One operator instead of a three-stage chain: the
@@ -182,11 +221,12 @@ class SpanExtractor:
         self._ocr = OcrModel(**ocr_kwargs)
         self.offset_range = offset_range
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table, tag=None) -> pa.Table:
         return self._ocr(
             extract_batch(
                 explode_batch(batch, offset_range=self.offset_range)
-            )
+            ),
+            tag=tag,
         )
 
 
@@ -194,19 +234,26 @@ class FusedExtractor(SpanExtractor):
     """The extraction stage: ``SpanExtractor``'s kernel, then
     ``reassemble_sorted_block`` on the call's own span rows — every
     document is one input row, so its span rows never leave the call.
-    Output is projected to (doc_id, spans) unless ``with_stats``.
+    Output is projected to (doc_id, spans) unless ``with_stats``.  A
+    batch carrying partition ids (``schema.PID``) runs once per
+    partition in it, and each output row keeps its document's id.
 
-    Input contract: ``doc_id`` is unique across the input, as for the
+    Input contract: ``doc_id`` is unique within a partition, as for the
     incremental index (``state.dedup_index.ingest_neardup``).  A batch
-    that repeats an id raises ``ValueError`` (its span ranks would
-    collide and the rows would merge into one interleaved document); a
-    repeat across batches is not detected and gives two output rows."""
+    that repeats an id within a partition raises ``ValueError`` (its
+    span ranks would collide and the rows would merge into one
+    interleaved document); a repeat across batches is not detected and
+    gives two output rows.  An id in two partitions is two documents,
+    one per partition."""
 
     def __init__(self, with_stats: bool = False, **kwargs):
         super().__init__(**kwargs)
         self.with_stats = with_stats
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        return map_partitions(self._extract, batch)
+
+    def _extract(self, batch: pa.Table, pid) -> pa.Table:
         ids = batch.column("doc_id")
         if pc.count_distinct(ids, mode="all").as_py() != len(ids):
             counts = ids.value_counts()
@@ -214,15 +261,16 @@ class FusedExtractor(SpanExtractor):
                 pc.greater(counts.field("counts"), 1))[0]
             raise ValueError(f"duplicate doc_id {dup.as_py()!r} in one "
                              "input batch; doc_id must be unique")
-        out = reassemble_sorted_block(super().__call__(batch))
+        out = reassemble_sorted_block(super().__call__(batch, tag=pid))
         return out if self.with_stats else out.select(["doc_id", "spans"])
 
 
 def _fused_plan(docs, pool: OcrPool, *, offset_range=None,
-                with_stats: bool = False, **ocr_kwargs):
+                with_stats: bool = False, totals=None, **ocr_kwargs):
     """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA
     [+stats]): one ``FusedExtractor`` actor stage on ``pool``;
-    ``ocr_kwargs`` go to ``stages.ocr.OcrModel``."""
+    ``ocr_kwargs`` go to ``stages.ocr.OcrModel``.  A document is one
+    input row, so no stage waits on a count: ``totals`` is unused."""
     return docs.map_batches(
         FusedExtractor,
         batch_format="pyarrow",
@@ -239,19 +287,23 @@ class SpanRowExtractor:
     document the call saw (``stages.reassemble.tally_rows``).  Extraction
     changes row counts (HTML/PDF fan-out, empty text dropped, ``multi``
     OCR fan-out), so the fold counts consumed INPUT rows, never output
-    rows."""
+    rows.  Each partition (``schema.PID``) in a call runs on its own,
+    and its output rows, tallies included, keep its id."""
 
     def __init__(self, **ocr_kwargs):
         self._ocr = OcrModel(**ocr_kwargs)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return pa.concat_tables([self._ocr(extract_batch(batch)),
-                                 tally_rows(batch)],
+        return map_partitions(self._extract, batch)
+
+    def _extract(self, rows: pa.Table, pid) -> pa.Table:
+        return pa.concat_tables([self._ocr(extract_batch(rows), tag=pid),
+                                 tally_rows(rows)],
                                 promote_options="default")
 
 
 def _split_plan(docs, pool: OcrPool, *, offset_range=None,
-                with_stats: bool = False, **ocr_kwargs):
+                with_stats: bool = False, totals=None, **ocr_kwargs):
     """documents Dataset → extracted Dataset (EXTRACTED_SCHEMA
     [+stats]) with a media-heavy document spread over the pool:
     explode (a task stage that fuses with the read's validation map),
@@ -259,7 +311,10 @@ def _split_plan(docs, pool: OcrPool, *, offset_range=None,
     (``StreamingRepartition``), a ``SpanRowExtractor`` actor stage on
     ``pool``, and one ``DocumentFold`` actor.  Output comes in
     completion order, not input order.  ``doc_id`` must be unique
-    across the input; a repeat raises ``ValueError``."""
+    within a partition (the whole input when it carries no
+    ``schema.PID``); a repeat raises ``ValueError``.  ``totals``
+    (``{pid: documents}``, known counts only) lets the fold forget a
+    partition's ids once all of them are out."""
     import ray.data
 
     spans = docs.map_batches(
@@ -277,14 +332,14 @@ def _split_plan(docs, pool: OcrPool, *, offset_range=None,
         DocumentFold,
         batch_format="pyarrow",
         batch_size=None,
-        fn_constructor_kwargs=dict(with_stats=with_stats),
+        fn_constructor_kwargs=dict(with_stats=with_stats, totals=totals),
         compute=ray.data.ActorPoolStrategy(size=1),
         num_cpus=_FOLD_CPUS,
         max_restarts=0,
     )
 
 
-# plan name → builder ``(docs, pool, *, offset_range, with_stats,
+# plan name → builder ``(docs, pool, *, offset_range, with_stats, totals,
 # **OcrModel kwargs)``; ``resolve_plan`` picks the name
 PLANS = {"fused": _fused_plan, "split": _split_plan}
 
@@ -348,6 +403,34 @@ def _parquet_probe(files: list[str]) -> DocProbe:
     return _probe(pa.chunked_array(head), total)
 
 
+def _jsonl_probe(files: list[str]) -> DocProbe:
+    """Probe a JSONL input on the driver, with no Ray execution: its
+    first ``_SAMPLE_DOCS`` lines in file order, parsed by Arrow's JSON
+    reader (Ray's read uses it too) and validated as the read's map
+    would.  ``total`` is known when the input ends within the sample."""
+    import io
+
+    import pyarrow.json as pj
+
+    head, more = [], False
+    for path in files:
+        with open(path, "rb") as f:
+            for line in f:
+                if not line.strip():
+                    continue
+                if len(head) == _SAMPLE_DOCS:
+                    more = True
+                    break
+                head.append(line if line.endswith(b"\n") else line + b"\n")
+        if more:
+            break
+    if not head:
+        return DocProbe(0, 0, 0.0)
+    sample = pj.read_json(io.BytesIO(b"".join(head)))
+    validate_documents(sample)
+    return _probe(sample["spans"], None if more else len(head))
+
+
 def _dataset_probe(docs) -> DocProbe:
     """Probe any other Dataset with one Ray Data execution: its first
     ``_SAMPLE_DOCS`` rows in input order.  ``preserve_order`` is set on
@@ -379,14 +462,19 @@ def choose_plan(docs, *, ocr_latency_ms: float = 0.0, ocr_burn: int = 0,
 
     The Dataset ``sources.io.read_documents`` returned over parquet
     files is probed from their footers and head row groups on the
-    driver (``_parquet_probe``); any other Dataset (transformed,
-    in-memory, JSONL/CSV) with one ordered Ray Data execution
-    (``_dataset_probe``).  ``with_probe=True`` returns
-    ``(plan, DocProbe)`` so the sample sizes the actor pool
-    (``ocr_pool``).
+    driver (``_parquet_probe``), over JSONL files from their head lines
+    (``_jsonl_probe``); any other Dataset (transformed, in-memory, CSV)
+    with one ordered Ray Data execution (``_dataset_probe``).
+    ``with_probe=True`` returns ``(plan, DocProbe)`` so the sample
+    sizes the actor pool (``ocr_pool``).
     """
-    files = parquet_files(docs)
-    probe = _dataset_probe(docs) if files is None else _parquet_probe(files)
+    files = source_files(docs)
+    if files is None:
+        probe = _dataset_probe(docs)
+    elif files[0].endswith(".parquet"):
+        probe = _parquet_probe(files)
+    else:
+        probe = _jsonl_probe(files)
     heavy_s = probe.media_max * _span_ms(ocr_burn, ocr_latency_ms) / 1e3
     plan = "split" if heavy_s > _SPLIT_DOC_S else "fused"
     return (plan, probe) if with_probe else plan

@@ -108,11 +108,11 @@ def main(argv=None) -> int:
                          "deterministic mock policy contract "
                          "(stages/engines.py)")
     ap.add_argument("--ocr-concurrency", type=int, default=None,
-                    help="extract job: cap on OCR actors per partition "
+                    help="extract job: cap on OCR actors per plan's "
                          "pool (default: ~3.5 per CPU for latency-bound "
                          "inference, one per CPU otherwise); each pool "
-                         "is fixed-size, sized below the cap from the "
-                         "partition's doc count and media per doc, and "
+                         "is fixed-size, sized below the cap from its "
+                         "partitions' doc counts and media per doc, and "
                          "always leaves one CPU for reading")
     ap.add_argument("--csv", action="store_true",
                     help="also write reference-format summary CSVs "
@@ -120,9 +120,11 @@ def main(argv=None) -> int:
                          "<output>/summary/ — the --csv flag of "
                          "ocr_router.py, one part per partition")
     ap.add_argument("--wave", type=int, default=4,
-                    help="extract job only: partitions executed "
-                         "concurrently (the other jobs run one Ray task "
-                         "per partition, so Ray owns their parallelism)")
+                    help="ignored by every job, kept so older command "
+                         "lines still parse: extract runs the files of "
+                         "one plan as one Dataset on one pool, and the "
+                         "other jobs run one Ray task per partition, so "
+                         "Ray owns their parallelism")
     ap.add_argument("--max-partitions", type=int, default=None,
                     help="bound pending partitions this run (kill/resume testing)")
     ap.add_argument("--num-cpus", type=int, default=None,
@@ -247,7 +249,8 @@ def main(argv=None) -> int:
             print(json.dumps(summary))
             return 0
         _warn_ignored("extract",
-                      [("--manifest", args.manifest, None)] + index_flags)
+                      [("--manifest", args.manifest, None),
+                       ("--wave", args.wave, 4)] + index_flags)
         from .stages.engines import resolve_model
         from .state.runner import run_extract
 
@@ -259,7 +262,6 @@ def main(argv=None) -> int:
             ocr_burn=args.ocr_burn,
             ocr_latency_ms=args.ocr_latency_ms,
             ocr_concurrency=args.ocr_concurrency,
-            wave=args.wave,
             max_partitions=args.max_partitions,
             csv_summary=args.csv,
         )

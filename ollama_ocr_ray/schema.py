@@ -92,3 +92,35 @@ def validate_documents(table: pa.Table) -> None:
             raise ValueError(
                 f"documents column {f.name!r} has type {got[f.name]}, expected {f.type}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Partition id: the column ``sources.io.read_documents_files(files,
+# pids=...)`` adds to a job's documents (one id per input file).  Every
+# extraction stage carries it to its output rows when its input has it,
+# so one Dataset can run many resumable partitions.
+PID = "pid"
+
+
+def map_partitions(fn, table: pa.Table) -> pa.Table:
+    """``fn(rows, pid)`` on each partition's rows of ``table``, and the
+    outputs concatenated, each with its ``PID`` column put back.  A
+    table without a ``PID`` column is one call, ``fn(table, None)``,
+    and its output is returned as is; an empty one is one call with
+    ``pid=None``."""
+    import pyarrow.compute as pc
+
+    if PID not in table.column_names:
+        return fn(table, None)
+    col = table.column(PID)
+    pids = pc.unique(col).to_pylist() or [None]
+    if len(pids) == 1:
+        return _with_pid(fn(table, pids[0]), pids[0])
+    return pa.concat_tables([
+        _with_pid(fn(table.filter(pc.equal(col, pid)), pid), pid)
+        for pid in pids])
+
+
+def _with_pid(table: pa.Table, pid: int | None) -> pa.Table:
+    return table.append_column(
+        PID, pa.repeat(pa.scalar(pid, pa.int32()), table.num_rows))

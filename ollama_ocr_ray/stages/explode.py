@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..schema import PID
+
 DOC_SENTINEL = "__doc__"
 
 EXPLODED_SCHEMA = pa.schema(
@@ -50,7 +52,9 @@ def explode_batch(batch: pa.Table, offset_range=None,
     sort, whatever order the per-kind extraction emits them in.
 
     ``stamp=True`` appends ``doc_rows``: the number of rows this call
-    emits for the row's document, its sentinel included."""
+    emits for the row's document, its sentinel included; and, when the
+    batch carries partition ids (``schema.PID``), each row's document's
+    id."""
     batch = batch.combine_chunks()
     spans = batch.column("spans")
     if isinstance(spans, pa.ChunkedArray):
@@ -96,4 +100,7 @@ def explode_batch(batch: pa.Table, offset_range=None,
         rows = np.bincount(parent, minlength=n_docs) + 1
         out = out.append_column("doc_rows", pa.array(
             np.concatenate([rows, rows[parent]]).astype(np.int32)))
+        if PID in batch.column_names:
+            out = out.append_column(PID, batch.column(PID).take(pa.array(
+                np.concatenate([np.arange(n_docs), parent]))))
     return out

@@ -58,7 +58,7 @@ class OcrModel:
 
     def __init__(self, burn_iters: int = 0, latency_ms: float = 0.0,
                  policy: str = "text", media_store=None, model=None,
-                 metrics_sink=None, metrics_tag=None):
+                 metrics_sink=None):
         # "load the model": in the real engine this is where weights land
         # on the device; here we pre-touch the transcription vocab and
         # keep the cost knobs.  ``policy`` is the mode dispatch of the
@@ -101,13 +101,13 @@ class OcrModel:
         # when no sink is configured
         from ..state.metrics import ResourceRecorder
 
-        self.recorder = ResourceRecorder(metrics_sink, metrics_tag)
+        self.recorder = ResourceRecorder(metrics_sink)
 
-    def _record(self, n_rows: int, n_media: int, t0: float) -> None:
+    def _record(self, n_rows: int, n_media: int, t0: float, tag) -> None:
         if self.recorder.sink is not None:
             self.recorder.record(
                 n_rows=n_rows, n_media=n_media,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
+                wall_ms=(time.perf_counter() - t0) * 1e3, tag=tag,
             )
 
     def resolve_media(self, ref: str) -> bytes | None:
@@ -195,13 +195,14 @@ class OcrModel:
             return [[t] for t in texts]
         return [mode_transcript(k, self.policy) for k in keys]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table, tag=None) -> pa.Table:
         """Span rows in, span rows out, with ``ocr_ms`` appended.
 
         Each media row becomes its outputs in place: one error row for a
         corrupt or missing ref, else one ``ocr`` row per transcript with
         ``sub`` = 0..k-1 (the R9 fan-out).  Every other row passes
-        through unchanged.
+        through unchanged.  ``tag`` (the batch's partition id) tags its
+        resource sample.
         """
         t_call = time.perf_counter()
         batch = batch.combine_chunks()
@@ -232,7 +233,7 @@ class OcrModel:
         first_out = np.cumsum(counts) - counts
         media_sub = np.arange(len(rows)) - first_out[rows]
         out = batch.take(pa.array(rows))
-        self._record(n, len(media_idx), t_call)
+        self._record(n, len(media_idx), t_call, tag)
         return pa.table(
             {
                 "doc_id": out.column("doc_id"),

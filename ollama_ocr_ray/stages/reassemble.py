@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import OUT_SPAN_STRUCT
+from ..schema import OUT_SPAN_STRUCT, map_partitions
 from .explode import DOC_SENTINEL
 
 # kind of a split-plan tally row: one actor call consumed ``rows`` of the
@@ -175,34 +175,46 @@ class DocumentFold:
     up to its stamp.
 
     No exchange, no global order and no end-of-stream hook: the state
-    is a hash table of the documents in flight (their rows and counts),
-    plus the set of emitted ids (one string per document).  That set is
-    what refuses a doc_id
-    repeated anywhere in the input (or rows delivered twice): a count
-    past the stamp, two stamps for one id, or rows for an id already
-    emitted all raise ``ValueError`` naming it.  A document is only
-    ever emitted whole; one whose rows never all arrive is never
-    emitted (``state.runner`` refuses to commit a partition that lost
-    documents).  The actor must not restart (``max_restarts=0``): a
-    restarted fold has lost its table."""
+    is, per partition (``schema.PID``; the whole input when rows carry
+    none), a hash table of the documents in flight (their rows and
+    counts) plus the set of emitted ids (one string per document).
+    That set is what refuses a doc_id repeated in a partition (or rows
+    delivered twice): a count past the stamp, two stamps for one id, or
+    rows for an id already emitted all raise ``ValueError`` naming it.
+    ``totals`` (``{pid: documents}``, known counts only) bounds the
+    sets: once a partition has emitted all of its documents its ids are
+    dropped, and any later row for it is refused as a repeat.  An id in
+    two partitions is two documents, one per partition, as when each
+    file runs alone.  A document is only ever emitted whole; one whose
+    rows never all arrive is never emitted (``state.runner`` refuses to
+    commit a partition that lost documents).  The actor must not
+    restart (``max_restarts=0``): a restarted fold has lost its
+    table."""
 
-    def __init__(self, with_stats: bool = False):
+    def __init__(self, with_stats: bool = False, totals: dict | None = None):
         self.with_stats = with_stats
-        self._open: dict[str, list] = {}  # doc_id -> [rows, stamp, tables]
-        self._emitted: set[str] = set()
+        self._totals = totals or {}
+        # pid -> {doc_id: [rows, stamp, tables]}, pid -> emitted doc_ids
+        self._open: dict = {}
+        self._emitted: dict = {}
+        self._complete: set = set()  # pids whose every document is out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
+        return map_partitions(self._fold, batch.combine_chunks())
+
+    def _fold(self, batch: pa.Table, pid) -> pa.Table:
+        open_ = self._open.setdefault(pid, {})
+        emitted = self._emitted.setdefault(pid, set())
         is_tally = pc.equal(batch.column("kind"), TALLY)
         tallies = batch.filter(is_tally)
         docs = tallies.column("doc_id").to_pylist()
         for doc, n, stamp in zip(docs, tallies.column("rows").to_pylist(),
                                  tallies.column("doc_rows").to_pylist()):
-            entry = self._open.get(doc)
+            entry = open_.get(doc)
             if entry is None:
-                if doc in self._emitted:
+                if doc in emitted or pid in self._complete:
                     raise _repeated(doc)
-                entry = self._open[doc] = [0, stamp, []]
+                entry = open_[doc] = [0, stamp, []]
             entry[0] += n
             if entry[0] > entry[1] or stamp != entry[1]:
                 raise _repeated(doc)
@@ -216,12 +228,15 @@ class DocumentFold:
             ends = np.append(starts[1:], n)
             for doc, a, b in zip(ids.take(pa.array(starts)).to_pylist(),
                                  starts.tolist(), ends.tolist()):
-                self._open[doc][2].append(rows.slice(a, b - a))
+                open_[doc][2].append(rows.slice(a, b - a))
         pieces = []
         for doc in dict.fromkeys(docs):
-            if self._open[doc][0] == self._open[doc][1]:
-                pieces.extend(self._open.pop(doc)[2])
-                self._emitted.add(doc)
+            if open_[doc][0] == open_[doc][1]:
+                pieces.extend(open_.pop(doc)[2])
+                emitted.add(doc)
+        if len(emitted) == self._totals.get(pid):
+            self._complete.add(pid)
+            del self._open[pid], self._emitted[pid]
         out = (reassemble_sorted_block(pa.concat_tables(pieces)) if pieces
                else REASSEMBLED_SCHEMA.empty_table())
         return out if self.with_stats else out.select(["doc_id", "spans"])

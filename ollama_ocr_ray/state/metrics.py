@@ -10,12 +10,12 @@ drains the sink at partition commit and folds per-actor aggregates
 into the partition's manifest record.
 
 Scale design: the sink is ``num_cpus=0`` (never competes with work),
-a push is one tiny RPC per BATCH (hundreds of docs), and samples are
-tagged with the partition id so concurrent partition waves drain
-independently.  Sampling itself reads ``/proc/self/statm`` (~µs) —
-no psutil dependency; the GPU probe is a subprocess, so it runs at
-most once per actor per ``GPU_PROBE_TTL_S`` and only when nvidia-smi
-exists.
+a push is one tiny RPC per BATCH (hundreds of docs), and each sample is
+tagged with its batch's partition id, so the partitions that share one
+Dataset and one actor pool drain independently.  Sampling itself reads
+``/proc/self/statm`` (~µs) — no psutil dependency; the GPU probe is a
+subprocess, so it runs at most once per actor per ``GPU_PROBE_TTL_S``
+and only when nvidia-smi exists.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class ResourceRecorder:
     one sample per batch and ships them to the sink without waiting.
 
     Samples are BUFFERED locally and flushed when the buffer reaches
-    ``FLUSH_SAMPLES`` or is older than ``FLUSH_AGE_S`` — per-batch RPCs
+    ``FLUSH_SAMPLES``, is older than ``FLUSH_AGE_S``, or takes the first
+    sample of a tag this actor has not recorded before — per-batch RPCs
     would funnel every batch in the job into one zero-CPU actor, which
     becomes the bottleneck exactly at the scale telemetry matters.  A
     best-effort ``__del__`` flush catches the tail at actor teardown
@@ -81,7 +82,8 @@ class ResourceRecorder:
 
     ``sink`` is a ``MetricsSink`` actor handle (picklable through
     ``fn_constructor_kwargs``); None disables recording at the cost of
-    a single ``if`` per batch."""
+    a single ``if`` per batch.  ``tag`` is the default tag; ``record``
+    takes each batch's own."""
 
     FLUSH_SAMPLES = 8
     FLUSH_AGE_S = 2.0
@@ -93,12 +95,13 @@ class ResourceRecorder:
         self._last_cpu = time.process_time()
         self._gpu = None
         self._gpu_ts = -1e18
-        self._buf: list[dict] = []
-        # -inf: the FIRST sample always flushes immediately, so every
-        # actor is visible in the manifest even on jobs too short/fast
-        # to hit the size threshold (the teardown flush can race the
-        # runner's drain); steady state amortizes 8:1 / 2 s after that
-        self._last_flush = float("-inf")
+        self._buf: list[tuple] = []  # (tag, sample)
+        # the FIRST sample of each tag flushes immediately, so every
+        # actor is visible in each partition's record even on jobs too
+        # short/fast to hit the size threshold (the teardown flush can
+        # race the runner's drain); steady state amortizes 8:1 / 2 s
+        self._tags: set = set()
+        self._last_flush = time.monotonic()
 
     def _gpu_sample(self):
         now = time.monotonic()
@@ -107,9 +110,11 @@ class ResourceRecorder:
             self._gpu_ts = now
         return self._gpu
 
-    def record(self, *, n_rows: int, n_media: int, wall_ms: float) -> None:
+    def record(self, *, n_rows: int, n_media: int, wall_ms: float,
+               tag=None) -> None:
         if self.sink is None:
             return
+        tag = self.tag if tag is None else tag
         cpu = time.process_time()
         sample = {
             "pid": self.pid,
@@ -121,19 +126,24 @@ class ResourceRecorder:
             "gpu": self._gpu_sample(),
         }
         self._last_cpu = cpu
-        self._buf.append(sample)
+        self._buf.append((tag, sample))
         now = time.monotonic()
-        if (len(self._buf) >= self.FLUSH_SAMPLES
+        if (tag not in self._tags or len(self._buf) >= self.FLUSH_SAMPLES
                 or now - self._last_flush >= self.FLUSH_AGE_S):
+            self._tags.add(tag)
             self.flush()
 
     def flush(self) -> None:
         if self.sink is None or not self._buf:
             return
-        buf, self._buf = self._buf, []
+        by_tag: dict = {}
+        for tag, sample in self._buf:
+            by_tag.setdefault(tag, []).append(sample)
+        self._buf = []
         self._last_flush = time.monotonic()
         # fire-and-forget: inference never blocks on telemetry
-        self.sink.push.remote(self.tag, buf)
+        for tag, samples in by_tag.items():
+            self.sink.push.remote(tag, samples)
 
     def __del__(self):  # best-effort tail flush at actor teardown
         try:

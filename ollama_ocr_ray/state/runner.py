@@ -4,40 +4,48 @@ ingest).
 Partition unit = one input data file of the documents table (a shard
 for the export's pack phase).  Every partitioned job runs one way:
 ``Manifest.pending`` selects the partitions whose record does not match
-the input's fingerprint (at most ``max_partitions`` of them), each runs
-as one ``concurrent.futures.Future``, and ``_commit_each`` commits each
-partition on the driver as it finishes, through the one protocol in
-``state/manifest.py`` (clean, write to ``_tmp-*``, rename, then the
-keyed record).  A failed partition does not stop the others: all
-failures raise together once the rest have committed, and a rerun
-redoes only what is missing (SURVEY.md §4.3).
+the input's fingerprint (at most ``max_partitions`` of them), the work
+runs, and ``_commit_each`` commits each partition on the driver as soon
+as it is complete, through the one protocol in ``state/manifest.py``
+(clean, write to ``_tmp-*``, rename, then the keyed record).  A failed
+partition does not stop the others: all failures raise together once
+the rest have committed, and a rerun redoes only what is missing
+(SURVEY.md §4.3).
 
-What a partition's future runs depends on the work:
+The partition is the unit of commit; what runs depends on the work:
 
-- **extract** (``run_extract``): a thread runs the partition's
-  extraction pipeline as its own internally-parallel Dataset execution,
-  decided exactly as ``pipelines.extract.auto_pipeline`` decides for any
-  Dataset: the partition's own probe picks its plan and sizes its one
-  pool; ``wave`` partitions run at once so the cluster stays
-  saturated.
+- **extract** (``run_extract``): each pending file is probed on its own
+  (its plan, as ``pipelines.extract.auto_pipeline`` decides on that
+  file alone), and the files of one plan run as ONE Dataset on ONE
+  actor pool, their rows tagged with the partition id.  Each output
+  block is written into its partition's staging dir by a task that
+  returns ``(pid, rows)``, and the driver commits a partition once its
+  rows reach its input count: ``DocumentFold``'s count-completion rule
+  at partition grain.  One execution instead of one per file saves the
+  per-Dataset start-up (worker start, imports, read: ~2 s a file;
+  BASELINE r6 "One Dataset per extract job").
 - **prep / curate annotate, export pack**: the per-partition work is a
   map-only pass whose parallelism unit IS the partition, so each runs
-  as ONE plain Ray task (``_map_parquet_stream`` inside the task) and
-  its ``ObjectRef.future()`` is the partition's future — per-partition
-  Dataset executors measurably anti-scale on many-small-file inputs
-  (BASELINE.md r3 'annotate phase').
+  as ONE plain Ray task (``_map_parquet_stream`` inside the task) —
+  per-partition Dataset executors measurably anti-scale on
+  many-small-file inputs (BASELINE.md r3 'annotate phase').
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import as_completed
+from contextlib import closing
 
 import numpy as np
 
 from ..pipelines import extract as px
-from ..sources.io import (list_input_files, read_documents,
-                          read_documents_files, write_extracted)
+from ..schema import PID
+# ``write_extracted`` stays a module global: benchmark tracing wraps it
+# here, although the extract job now writes through ``write_partitions``
+from ..sources.io import (list_input_files, read_documents,  # noqa: F401
+                          read_documents_files, write_extracted,
+                          write_partitions)
 from .manifest import (Manifest, done_record, fingerprint,
                        partition_fingerprint, publish_dir, read_record,
                        stage, write_record)
@@ -50,21 +58,21 @@ def _input_files(path: str, what: str = "input data files") -> list[str]:
     return files
 
 
-def _commit_each(job: str, manifest: Manifest, futures: dict,
+def _commit_each(job: str, manifest: Manifest, completed,
                  make_record=lambda pid, result: result) -> list[dict]:
-    """The partition loop of every partitioned job.  ``futures`` maps
-    each partition's ``Future`` to its ``(pid, source)``; as each one
-    finishes, its partition commits on the DRIVER with the record
-    ``make_record(pid, result)``, so the manifest stays single-writer.
-    A failed partition does not stop the others from committing; once
-    all have finished, every failure raises together as one
-    ``RuntimeError`` chained to the first.  Returns the committed
-    records."""
+    """The partition loop of every partitioned job.  ``completed``
+    yields ``(pid, source, result)`` as each partition completes, where
+    ``result()`` returns its result or raises its failure; each one
+    commits on the DRIVER with the record ``make_record(pid,
+    result())``, so the manifest stays single-writer.  A failed
+    partition does not stop the others from committing; once all have
+    finished, every failure raises together as one ``RuntimeError``
+    chained to the first.  A commit that raises aborts the loop.
+    Returns the committed records."""
     records, failures = [], []
-    for fut in as_completed(futures):
-        pid, source = futures[fut]
+    for pid, source, result in completed:
         try:
-            record = make_record(pid, fut.result())
+            record = make_record(pid, result())
         except Exception as e:  # noqa: BLE001 - commit the rest
             failures.append((source, e))
             continue
@@ -79,25 +87,39 @@ def _commit_each(job: str, manifest: Manifest, futures: dict,
     return records
 
 
-def _task_futures(fn, manifest: Manifest, sources: dict, *args) -> dict:
+def _task_results(fn, manifest: Manifest, sources: dict, *args):
     """One Ray task ``fn(source, staging dir, *args)`` per partition of
-    ``sources`` (``{pid: source path}``), keyed for ``_commit_each``."""
+    ``sources`` (``{pid: source path}``), all started at once; yields
+    each one for ``_commit_each`` as it finishes."""
     import ray
 
     task = ray.remote(num_cpus=1)(fn)
-    return {task.remote(src, manifest.stage(pid), *args).future(): (pid, src)
-            for pid, src in sources.items()}
+    futures = {task.remote(src, manifest.stage(pid), *args).future():
+               (pid, src) for pid, src in sources.items()}
+    return ((*futures[fut], fut.result) for fut in as_completed(futures))
+
+
+def _failed(error: Exception):
+    def result():
+        raise error
+    return result
+
+
+_METRIC_COLUMNS = ["doc_id", "chars", "n_spans", "n_errors", "ocr_ms"]
 
 
 def _partition_metrics(part_dir: str) -> dict:
-    """A written partition's record metrics; a ``doc_id`` on two output
-    rows (a repeat across fused batches) raises ``ValueError``."""
+    """A written partition's record metrics (none written: 0 docs); a
+    ``doc_id`` on two output rows (a repeat across fused batches)
+    raises ``ValueError``."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    stats = pads.dataset(part_dir).to_table(
-        columns=["doc_id", "chars", "n_spans", "n_errors", "ocr_ms"]
-    )
+    from ..stages.reassemble import REASSEMBLED_SCHEMA
+
+    stats = (pads.dataset(part_dir).to_table(columns=_METRIC_COLUMNS)
+             if os.path.isdir(part_dir)
+             else REASSEMBLED_SCHEMA.empty_table().select(_METRIC_COLUMNS))
     counts = stats.column("doc_id").value_counts()
     if len(counts) < stats.num_rows:
         dup = counts.field("values").filter(
@@ -127,7 +149,7 @@ def _ensure_partition_csv(manifest, pid: int) -> None:
     """Write the reference-format summary csv for one COMMITTED
     partition if missing — projected from the written stats columns
     (no pipeline re-execution), atomic and idempotent.  Recommits
-    unlink the old part first (see _run_partition), so 'missing'
+    unlink the old part first (see _stream_group), so 'missing'
     always means 'needs (re)generation'."""
     import pyarrow.dataset as pads
 
@@ -144,64 +166,157 @@ def _ensure_partition_csv(manifest, pid: int) -> None:
     write_csv_table(rows, csv_path)
 
 
-def _run_partition(
-    pid: int,
-    input_file: str,
-    manifest: Manifest,
-    *,
-    plan: str | None,
-    pipelines: int,
-    ocr_burn: int,
-    ocr_latency_ms: float,
-    ocr_concurrency: int | None,
-    policy,
-    model=None,
-    metrics_sink=None,
-) -> dict:
-    """Extract one partition into its staging dir and return its record
-    (``_commit_each`` commits it), with the ``plan`` it ran, decided as
-    ``auto_pipeline`` decides on the partition's file: ``resolve_plan``,
-    then ONE ``ocr_pool`` call, capped at ``ocr_concurrency`` and at its
-    share among ``pipelines`` partitions running at once.  Output short
-    of the probe's known input count (``DocProbe.total``: parquet
-    footers, or a probe that saw the whole file) raises."""
-    ds = read_documents_files([input_file])
-    plan, probe = px.resolve_plan(ds, plan, ocr_latency_ms=ocr_latency_ms,
-                                  ocr_burn=ocr_burn)
-    pool = px.ocr_pool(probe, ocr_burn=ocr_burn,
-                       ocr_latency_ms=ocr_latency_ms, cap=ocr_concurrency,
-                       pipelines=pipelines, plan=plan)
+def _extract_partitions(todo: list[int], files: list[str],
+                        manifest: Manifest, *, plan: str | None,
+                        ocr_burn: int, ocr_latency_ms: float, **group_kw):
+    """Probe each pending partition on its own (``resolve_plan`` on its
+    file, as ``auto_pipeline`` decides), group the partitions by the
+    plan their probes pick, and run the groups one after another
+    (``_extract_group``).  Yields ``(pid, file, record thunk)`` for
+    ``_commit_each``; a probe that raises is its partition's failure."""
+    from .metrics import make_sink
+
+    groups: dict = {}
+    for pid in todo:
+        try:
+            chosen, probe = px.resolve_plan(
+                read_documents_files([files[pid]]), plan,
+                ocr_latency_ms=ocr_latency_ms, ocr_burn=ocr_burn)
+        except Exception as e:  # noqa: BLE001 - fail this partition only
+            yield pid, files[pid], _failed(e)
+            continue
+        groups.setdefault(chosen, {})[pid] = probe
+    # one zero-CPU metrics sink per job: every OCR actor pushes one
+    # resource sample per batch, tagged with the batch's partition
+    sink = make_sink() if groups else None
+    for chosen, probes in groups.items():
+        yield from _extract_group(chosen, probes, files, manifest,
+                                  ocr_burn=ocr_burn,
+                                  ocr_latency_ms=ocr_latency_ms,
+                                  metrics_sink=sink, **group_kw)
+
+
+def _extract_group(plan: str, probes: dict, files: list[str],
+                   manifest: Manifest, **kw):
+    """Run the partitions of ``probes`` (``{pid: DocProbe}``, one plan)
+    as one Dataset (``_stream_group``), yielding ``(pid, file, record
+    thunk)`` as each completes.  A failure of the Dataset itself (a UDF
+    exception, an actor death) fails the whole group: the partitions it
+    left pending then run one Dataset each, through this same function,
+    so a bad file fails alone."""
+    left = dict(probes)
+    try:
+        for pid, record in _stream_group(plan, probes, files, manifest,
+                                         **kw):
+            del left[pid]
+            yield pid, files[pid], record
+    except Exception as e:  # noqa: BLE001 - the group's Dataset failed
+        for pid, probe in left.items():
+            if len(probes) == 1:
+                yield pid, files[pid], _failed(e)
+            else:
+                yield from _extract_group(plan, {pid: probe}, files,
+                                          manifest, **kw)
+
+
+def _stream_group(plan: str, probes: dict, files: list[str],
+                  manifest: Manifest, *, ocr_burn: int,
+                  ocr_latency_ms: float, ocr_concurrency: int | None,
+                  policy, model=None, metrics_sink=None):
+    """One Dataset over the group's files, its rows carrying their
+    partition id, extracted on ONE pool: ``ocr_pool`` of the merged
+    probe (capped at ``ocr_concurrency``), with the batch of the
+    largest partition's own pool.  ``write_partitions`` stages each
+    block's rows in their partition's ``_tmp-part-K`` dir; the driver
+    yields ``(pid, record thunk)`` once K's written rows reach its
+    known input count (``DocProbe.total``), or, for a count the probe
+    could not know, when the stream ends.  A partition of 0 documents
+    needs no rows."""
+    totals = {pid: p.total for pid, p in probes.items()}
+    pool = px.ocr_pool(
+        px.merge_probes(list(probes.values())), ocr_burn=ocr_burn,
+        ocr_latency_ms=ocr_latency_ms, cap=ocr_concurrency, plan=plan,
+        largest=max(probes.values(), key=lambda p: (p.total is None,
+                                                    p.total or 0)))
+    staging = {}
+    for pid in probes:
+        # a recommitted partition invalidates any previous summary csv;
+        # drop it so a non-csv run never leaves a stale part claiming to
+        # summarize the new data (the csv_summary path rewrites it via
+        # _ensure_partition_csv in run_extract)
+        stale_csv = _partition_csv_path(manifest.output_dir, pid)
+        if os.path.exists(stale_csv):
+            os.remove(stale_csv)
+        staging[pid] = manifest.stage(pid)
+
+    def record(pid):
+        return lambda: _partition_record(pid, files[pid], staging[pid],
+                                         plan, totals[pid], metrics_sink)
+
+    sent = set()
+    for pid, total in totals.items():
+        if total == 0:
+            _write_empty(staging[pid])
+            sent.add(pid)
+            yield pid, record(pid)
     out = px.PLANS[plan](
-        ds, pool, with_stats=True, burn_iters=ocr_burn,
+        read_documents_files([files[pid] for pid in probes],
+                             pids=list(probes)),
+        pool, with_stats=True, burn_iters=ocr_burn,
         latency_ms=ocr_latency_ms, policy=policy, model=model,
-        metrics_sink=metrics_sink, metrics_tag=pid,
-    )
-    tmp_dir = manifest.stage(pid)
-    # a recommitted partition invalidates any previous summary csv;
-    # drop it so a non-csv run never leaves a stale part claiming to
-    # summarize the new data (the csv_summary path rewrites it via
-    # _ensure_partition_csv in run_extract)
-    stale_csv = _partition_csv_path(manifest.output_dir, pid)
-    if os.path.exists(stale_csv):
-        os.remove(stale_csv)
-    write_extracted(out, tmp_dir)
+        metrics_sink=metrics_sink,
+        totals={pid: n for pid, n in totals.items() if n is not None})
+    rows = dict.fromkeys(probes, 0)
+    # no prefetch: the rows are counts, and a prefetched iterator hands
+    # each one over a scheduling step late (~0.35 s from a partition's
+    # last write to its commit, against ~0.15 s without)
+    for batch in write_partitions(out, staging).iter_batches(
+            batch_size=None, batch_format="pyarrow", prefetch_batches=0):
+        for pid, n in zip(batch.column(PID).to_pylist(),
+                          batch.column("rows").to_pylist()):
+            rows[pid] += n
+            if rows[pid] == totals[pid]:
+                sent.add(pid)
+                yield pid, record(pid)
+    for pid in probes:
+        if pid not in sent:
+            yield pid, record(pid)
+
+
+def _write_empty(tmp_dir: str) -> None:
+    """A 0-document partition's one file: no rows, the output schema."""
+    import pyarrow.parquet as pq
+
+    from ..stages.reassemble import REASSEMBLED_SCHEMA
+
+    os.makedirs(tmp_dir, exist_ok=True)
+    pq.write_table(REASSEMBLED_SCHEMA.empty_table(),
+                   os.path.join(tmp_dir, "part-0.parquet"))
+
+
+def _partition_record(pid: int, input_file: str, tmp_dir: str, plan: str,
+                      total: int | None, metrics_sink=None) -> dict:
+    """The record of a written partition, with the ``plan`` it ran.
+    Output short of the probe's known input count (``DocProbe.total``:
+    parquet footers, or a probe that saw the whole file) raises, as
+    does a ``doc_id`` twice (``_partition_metrics``)."""
     record = {
         "input_file": os.path.abspath(input_file),
         "input_fingerprint": partition_fingerprint(input_file),
         "plan": plan,
         **_partition_metrics(tmp_dir),
     }
-    if probe.total is not None and record["docs"] != probe.total:
+    if total is not None and record["docs"] != total:
         # every input document has an output row (an empty span list at
         # least); a missing one was lost, never commit it as done
         raise RuntimeError(f"partition {pid} ({input_file}): extracted "
-                           f"{record['docs']} of {probe.total} documents")
+                           f"{record['docs']} of {total} documents")
     if metrics_sink is not None:
-        # drain THIS partition's actor resource samples (the write +
-        # metrics read above give in-flight fire-and-forget pushes time
-        # to land; a straggler sample is dropped, never misattributed).
-        # Telemetry must never fail the job: a dead/unreachable sink
-        # degrades the record, not the commit.
+        # drain THIS partition's actor resource samples (each actor sent
+        # the first sample of every partition it ran at once; a
+        # straggler sample is dropped, never misattributed).  Telemetry
+        # must never fail the job: a dead/unreachable sink degrades the
+        # record, not the commit.
         import ray
 
         from .metrics import aggregate_samples
@@ -330,7 +445,7 @@ def _run_two_phase(
     todo = manifest.pending(fps, max_partitions)
     _commit_each(
         "annotate", manifest,
-        _task_futures(_annotate_file_task, manifest,
+        _task_results(_annotate_file_task, manifest,
                       {pid: files[pid] for pid in todo}, make_annotator),
         lambda pid, kept: {
             "input_file": os.path.abspath(files[pid]),
@@ -564,7 +679,7 @@ def run_export(
     todo = manifest.pending(fps, max_partitions)
     _commit_each(
         "pack", manifest,
-        _task_futures(_pack_shard_task, manifest,
+        _task_results(_pack_shard_task, manifest,
                       {k: os.path.join(selected_dir, f"shard={k}")
                        for k in todo}, capacity),
         lambda k, stats: {"input_fingerprint": fps[k],
@@ -613,16 +728,22 @@ def run_extract(
     Returns a summary: partitions done/skipped and aggregate metrics.
     ``max_partitions`` bounds how many pending partitions run (the
     kill-simulation hook for resume tests).  Every partition decides
-    its plan (``plan`` overrides only the choice) and its one fixed
-    actor pool from its own probe, as ``auto_pipeline`` does, capped at
-    ``ocr_concurrency`` actors and at its share of the cluster among the
-    ``wave`` partitions running at once.  The summary's ``plan`` is the
-    plans the partitions ran, sorted and joined with ``+`` (the one
-    asked for when none was pending).  A partition whose output holds
-    fewer documents than its counted input, or a ``doc_id`` twice, is
-    not committed; the others still commit, and the run then raises
-    once for every failed partition (``_commit_each``).  A ``doc_id``
-    shared by two input files is still not detected.
+    its plan (``plan`` overrides only the choice) from its own probe, as
+    ``auto_pipeline`` does on its file; the partitions of one plan then
+    run as ONE Dataset on ONE fixed actor pool, capped at
+    ``ocr_concurrency`` actors, and each commits on the driver as soon
+    as its output reaches its input count (``_stream_group``).  The
+    plans run one after another; ``wave`` is accepted for older callers
+    and sets nothing.  The summary's ``plan`` is the plans the
+    partitions ran, sorted and joined with ``+`` (the one asked for
+    when none was pending).  A partition whose output holds fewer
+    documents than its counted input, or a ``doc_id`` twice, is not
+    committed; a failure of a plan's whole Dataset reruns its pending
+    partitions one Dataset each, so a bad file fails alone.  The others
+    still commit, and the run then raises once for every failed
+    partition (``_commit_each``).  A ``doc_id`` shared by two input
+    files is two documents, one in each partition, as when each file
+    runs alone.
     """
     px.check_plan(plan)
     files = _input_files(input_path)
@@ -632,25 +753,12 @@ def run_extract(
     todo = manifest.pending(fps, max_partitions)
     done = []
     if todo:
-        from .metrics import make_sink
-
-        kwargs = dict(
-            plan=plan,
-            pipelines=max(1, min(wave, len(todo))),
-            ocr_burn=ocr_burn,
-            ocr_latency_ms=ocr_latency_ms,
-            ocr_concurrency=ocr_concurrency,
-            policy=policy,
-            model=model,
-            # one zero-CPU metrics sink per job: every OCR actor pushes
-            # one resource sample per batch, drained per partition
-            metrics_sink=make_sink(),
-        )
-        with ThreadPoolExecutor(max_workers=max(1, wave)) as pool:
-            done = _commit_each("extract", manifest, {
-                pool.submit(_run_partition, pid, files[pid], manifest,
-                            **kwargs): (pid, files[pid])
-                for pid in todo})
+        with closing(_extract_partitions(
+                todo, files, manifest, plan=plan, ocr_burn=ocr_burn,
+                ocr_latency_ms=ocr_latency_ms,
+                ocr_concurrency=ocr_concurrency, policy=policy,
+                model=model)) as completed:
+            done = _commit_each("extract", manifest, completed)
     left = manifest.pending(fps)
     if csv_summary:
         # reference-format CSVs (K3 compat, ocr_router.py:378-386):

@@ -74,8 +74,10 @@ def test_dead_sink_degrades_not_fails(ray_session, tmp_path):
     import ray
 
     from ollama_ocr_ray import synth
+    from ollama_ocr_ray.pipelines import extract as px
+    from ollama_ocr_ray.sources.io import read_documents_files
     from ollama_ocr_ray.state import metrics
-    from ollama_ocr_ray.state.runner import _run_partition
+    from ollama_ocr_ray.state.runner import _extract_group
     from ollama_ocr_ray.state.manifest import Manifest
 
     corpus = synth.write_corpus(str(tmp_path / "c"), 40, seed=13)
@@ -89,10 +91,13 @@ def test_dead_sink_degrades_not_fails(ray_session, tmp_path):
     ray.kill(sink)
     out = str(tmp_path / "out")
     os.makedirs(out, exist_ok=True)
-    rec = _run_partition(
-        0, f0, Manifest(out), plan="fused", pipelines=1, ocr_burn=0,
+    _, probe = px.resolve_plan(read_documents_files([f0]), "fused")
+    ((pid, source, result),) = _extract_group(
+        "fused", {0: probe}, [f0], Manifest(out), ocr_burn=0,
         ocr_latency_ms=0, ocr_concurrency=1, policy="text", metrics_sink=sink,
     )
+    rec = result()
+    assert (pid, source) == (0, f0)
     assert rec["docs"] > 0
     assert rec["resources"]["samples"] == 0
     assert "sink unavailable" in rec["resources"]["error"]

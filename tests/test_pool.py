@@ -63,37 +63,44 @@ def test_medium_input_spreads_over_actors(cpus):
     assert (pool.actors, pool.num_cpus, pool.batch_size) == (4, 0.25, 64)
 
 
+def test_group_pool_takes_the_largest_partitions_batch(cpus):
+    """Two 256-doc partitions in one Dataset (the benchmark's job): the
+    batch is each partition's own (64), so each fills waves of its own;
+    the merged work asks for 5 actors, but 4 run its 8 batches in the
+    same 2 waves.  One partition gets exactly its own pool."""
+    cpus(4)
+    a, b = _probe(256, 1.03), _probe(256, 1.05)
+    merged = px.merge_probes([a, b])
+    assert (merged.docs, merged.total) == (512, 512)
+    assert ocr_pool(merged, **LATENCY).actors == 5
+    assert ocr_pool(merged, largest=a, **LATENCY) == px.OcrPool(4, 0.25, 64)
+    assert ocr_pool(a, largest=a, **LATENCY) == ocr_pool(a, **LATENCY)
+
+
 def test_clamp_leaves_one_cpu_free(cpus):
     """Both footprints the rule produces: 0.25 CPU (latency-bound) and
     1 CPU (compute-bound) per actor."""
     for n in (2, 3, 4, 8, 32):
         cpus(n)
         for cost in (LATENCY, CPU_BOUND):
-            for pipelines in (1, 2, 4):
-                pool = ocr_pool(probe=_probe(10**6), cap=10**6,
-                                pipelines=pipelines, **cost)
-                if pool.num_cpus * pipelines <= n - 1:
-                    assert pool.actors * pool.num_cpus * pipelines <= n - 1
-                else:
-                    assert pool.actors == 1  # the floor: one actor
+            pool = ocr_pool(probe=_probe(10**6), cap=10**6, **cost)
+            assert pool.actors * pool.num_cpus <= n - 1
 
 
 def test_split_pool_and_fold_fit_the_clamp(cpus):
     """The split plan's span pool plus its fold actor never take more
-    than the CPUs but one, for any share of pipelines that can fit one
-    span actor and the fold."""
+    than the CPUs but one, whenever one span actor and the fold fit."""
     for n in (2, 3, 4, 8, 32):
         cpus(n)
         for cost in (LATENCY, CPU_BOUND):
-            for pipelines in (1, 2, 4):
-                pool = ocr_pool(probe=_probe(10**6), cap=10**6,
-                                pipelines=pipelines, plan="split", **cost)
-                num_cpus = pool.num_cpus
-                used = pipelines * (pool.actors * num_cpus + px._FOLD_CPUS)
-                if pipelines * (num_cpus + px._FOLD_CPUS) <= n - 1:
-                    assert used <= n - 1, (n, num_cpus, pipelines, pool)
-                else:
-                    assert pool.actors == 1
+            pool = ocr_pool(probe=_probe(10**6), cap=10**6, plan="split",
+                            **cost)
+            num_cpus = pool.num_cpus
+            if num_cpus + px._FOLD_CPUS <= n - 1:
+                used = pool.actors * num_cpus + px._FOLD_CPUS
+                assert used <= n - 1, (n, num_cpus, pool)
+            else:
+                assert pool.actors == 1
 
 
 def test_split_pool_is_sized_from_the_samples_span_work(cpus):
@@ -158,12 +165,12 @@ def test_run_extract_spreads_one_file_over_actors(ray_session, tmp_path):
 def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
                                                monkeypatch):
     """``auto_pipeline``, on any plan, and ``run_extract`` size every
-    pool from the probe; ``run_extract`` sizes each partition's pool in
-    ONE call, from the footer-exact count, sharing the CPUs over the
-    partitions that run at once.  Each partition decides as
-    ``auto_pipeline`` decides on its file alone, so a JSONL partition
-    within the sample is counted exactly, its pool is sized from its
-    work, and a lossy plan on it is refused."""
+    pool from the probe; ``run_extract`` sizes ONE pool per plan, in ONE
+    call, from its partitions' merged footer-exact counts, with the
+    batch of its largest partition's own pool.  Each partition decides
+    its plan as ``auto_pipeline`` decides on its file alone, so a JSONL
+    partition within the sample is counted exactly, the pool is sized
+    from the work, and a lossy plan on it is refused."""
     import json
 
     import pyarrow.parquet as pq
@@ -195,10 +202,10 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
     s = run_extract(str(src), str(tmp_path / "out"), ocr_latency_ms=1.0,
                     wave=2)
     assert s["docs"] == 16
-    assert len(calls) == 2
-    for probe, kw in calls:
-        assert isinstance(probe, DocProbe) and probe.total == 8
-        assert probe.docs == 8 and kw["pipelines"] == 2
+    ((probe, kw),) = calls
+    assert isinstance(probe, DocProbe) and (probe.docs, probe.total) == (16,
+                                                                         16)
+    assert kw["largest"].total == 8 and "pipelines" not in kw
 
     def decisions(run) -> list:
         calls.clear()
@@ -206,11 +213,13 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
         return [(kw["plan"], pool_rule(probe, **kw)) for probe, kw in calls]
 
     files = sorted(str(f) for f in src.iterdir())
+    ((plan, whole),) = decisions(lambda: auto_pipeline(
+        read_documents(str(src)), ocr_latency_ms=1.0))
+    ((_, one),) = decisions(lambda: auto_pipeline(
+        read_documents_files(files[:1]), ocr_latency_ms=1.0))
     assert decisions(lambda: run_extract(
         str(src), str(tmp_path / "wave1"), ocr_latency_ms=1.0, wave=1)) \
-        == decisions(lambda: [auto_pipeline(read_documents_files([f]),
-                                            ocr_latency_ms=1.0)
-                              for f in files])
+        == [(plan, whole._replace(batch_size=one.batch_size))]
 
     jsonl = tmp_path / "jsonl"
     jsonl.mkdir()
@@ -221,11 +230,11 @@ def test_every_pool_decision_carries_the_probe(ray_session, tmp_path,
     calls.clear()
     s = run_extract(str(jsonl), str(tmp_path / "jout"), ocr_latency_ms=1.0,
                     wave=2)
-    assert s["docs"] == 16 and len(calls) == 2
-    for probe, kw in calls:
-        assert probe.total == 8 and probe.docs == 8
-        assert pool_rule(probe, **kw).actors \
-            < pool_rule(probe._replace(total=None), **kw).actors
+    assert s["docs"] == 16
+    ((probe, kw),) = calls
+    assert (probe.total, probe.docs, kw["largest"].total) == (16, 16, 8)
+    assert pool_rule(probe, **kw).actors \
+        < pool_rule(probe._replace(total=None), **kw).actors
     fused, lost = px.PLANS["fused"], rows[0]["doc_id"]
     monkeypatch.setitem(px.PLANS, "fused", lambda ds, pool, **kw: fused(
         ds, pool, **kw).filter(lambda r: r["doc_id"] != lost))

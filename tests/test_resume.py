@@ -106,6 +106,46 @@ def test_extract_output_stays_parquet_when_lance_imports(
     assert _read_spans(out) == oracle.extract_corpus(table)
 
 
+def test_driver_killed_between_commits_resumes_the_rest(
+        ray_session, tmp_path, monkeypatch):
+    """A driver that dies between two partition commits (here: the
+    second ``Manifest.commit`` raises) leaves exactly one committed
+    partition and no published part without its record; the rerun
+    skips that one, runs the other two, and the output equals the
+    oracle."""
+    import gc
+
+    import pyarrow.parquet as pq
+
+    table = synth.gen_table(60, seed=21)
+    src = tmp_path / "in"
+    src.mkdir()
+    for i in range(3):
+        pq.write_table(table.slice(20 * i, 20),
+                       str(src / f"part-{i:05d}.parquet"))
+    out = str(tmp_path / "out")
+    commit, calls = Manifest.commit, []
+
+    def dying_commit(self, pid, record):
+        calls.append(pid)
+        if len(calls) == 2:
+            raise RuntimeError("driver killed")
+        commit(self, pid, record)
+
+    monkeypatch.setattr(Manifest, "commit", dying_commit)
+    with pytest.raises(RuntimeError, match="driver killed"):
+        run_extract(str(src), out, ocr_concurrency=1)
+    monkeypatch.setattr(Manifest, "commit", commit)
+    m = Manifest(out)
+    assert [r["partition_id"] for r in m.records()] == calls[:1]
+    assert sorted(d for d in os.listdir(out) if d.startswith("part-")) \
+        == [f"part-{calls[0]:05d}"]
+    gc.collect()  # release the aborted job's pool before the rerun
+    s = run_extract(str(src), out, ocr_concurrency=1)
+    assert (s["partitions_skipped"], s["partitions_run"]) == (1, 2)
+    assert _read_spans(out) == oracle.extract_corpus(table)
+
+
 def test_cli_prep_job(ray_session, tmp_path, capsys):
     """--job prep streams the composed prep pipeline to partitioned
     parquet; kept rows = the library pipeline's own output."""

@@ -119,6 +119,30 @@ def test_fold_never_emits_a_short_document():
     assert all(got[d] == want[d] for d in got)
 
 
+def test_fold_keeps_partitions_apart_and_forgets_a_complete_one():
+    """Rows tagged with partition ids (``schema.PID``, stamped by
+    explode): an id in two partitions is two documents, one in each.
+    Once a partition with a known count has emitted every document, the
+    fold drops its ids, and a later row for it is refused as a repeat."""
+    import pyarrow.compute as pc
+
+    from ollama_ocr_ray.schema import PID
+
+    table = synth.gen_table(12, seed=9)
+    outs = [SpanRowExtractor()(c) for pid in (0, 1)
+            for c in _chunks(table.append_column(
+                PID, pa.array([pid] * 12, pa.int32())), [30])]
+    fold = DocumentFold(totals={0: 12})
+    got = pa.concat_tables([fold(o) for o in outs])
+    want = _spans([FusedExtractor()(table)])
+    for pid in (0, 1):
+        part = got.filter(pc.equal(got.column(PID), pid))
+        assert part.num_rows == 12 and _spans([part]) == want
+    assert 0 not in fold._emitted and len(fold._emitted[1]) == 12
+    with pytest.raises(ValueError, match="duplicate doc_id"):
+        fold(outs[0])
+
+
 def test_two_stamps_for_one_doc_id_are_refused():
     table = _table([_doc("same", 1), _doc("same", 3)])
     with pytest.raises(ValueError, match="duplicate doc_id 'same'"):
@@ -271,6 +295,29 @@ def test_jsonl_probe_samples_the_head_in_input_order(ray_session, tmp_path,
     assert calls and (plan, probe.docs, probe.media_max) == ("split", 512,
                                                              260)
     assert docs.context.execution_options.preserve_order is False
+
+
+def test_jsonl_probe_reads_the_head_lines_without_ray(ray_session, tmp_path,
+                                                      monkeypatch):
+    """The Dataset ``read_documents`` returns over JSONL files is probed
+    on the driver from their first 512 lines: the probe the ordered Ray
+    sample gives on the same input, its count included when the input
+    ends within the sample, and no Ray Data execution."""
+    import json
+
+    rows = _heavy_at(300, 700).to_pylist()
+    for n, total in ((700, None), (400, 400)):
+        src = tmp_path / f"j{n}"
+        src.mkdir()
+        for i, part in enumerate((rows[:n // 2], rows[n // 2:n])):
+            with open(src / f"part-{i}.jsonl", "w") as f:
+                f.writelines(json.dumps(r) + "\n" for r in part)
+        want = px._dataset_probe(read_documents(str(src)))
+        with monkeypatch.context() as m:
+            _no_ray_execution(m)
+            got = choose_plan(read_documents(str(src)), ocr_latency_ms=20.0,
+                              with_probe=True)
+        assert got == ("split", want) and want.total == total
 
 
 def test_mistyped_parquet_spans_fail_before_any_pipeline_runs(
@@ -450,6 +497,51 @@ def test_failed_partitions_raise_together_and_rerun_redoes_them(
     assert (s["partitions_run"], s["partitions_skipped"], s["docs"]) \
         == (2, 1, 8)
     assert [r["docs"] for r in Manifest(out).records()] == [4, 4, 4]
+
+
+def test_a_plan_runs_one_dataset_and_a_bad_file_fails_alone(
+        ray_session, tmp_path, monkeypatch):
+    """Three files on the fused plan build its pipeline once and commit
+    three partitions.  When one file repeats an id inside a batch, that
+    one Dataset fails; its pending partitions then run one Dataset
+    each, so only that file fails and the other two commit."""
+    from ollama_ocr_ray.state.manifest import Manifest
+    from ollama_ocr_ray.state.runner import run_extract
+
+    fused, builds = px.PLANS["fused"], []
+
+    def counted(ds, pool, **kw):
+        builds.append(pool)
+        return fused(ds, pool, **kw)
+
+    monkeypatch.setitem(px.PLANS, "fused", counted)
+    src = tmp_path / "in"
+    src.mkdir()
+    tables = {name: _table([_doc(f"{name}{i}", i % 2) for i in range(4)])
+              for name in "abc"}
+    for name, table in tables.items():
+        pq.write_table(table, str(src / f"part-{name}.parquet"))
+    kw = dict(plan="fused", ocr_latency_ms=1.0)
+    s = run_extract(str(src), str(tmp_path / "out"), **kw)
+    assert (len(builds), s["partitions_run"], s["docs"]) == (1, 3, 12)
+
+    # every row of b has one id: a batch holding two of its rows (any
+    # 4-row batch does) repeats it
+    pq.write_table(_table([_doc("b0", 1)] * 3), str(src / "part-b.parquet"))
+    builds.clear()
+    out = str(tmp_path / "dup")
+    with pytest.raises(RuntimeError, match="1 extract partition") as err:
+        run_extract(str(src), out, **kw)
+    assert "part-b.parquet" in str(err.value)
+    assert "duplicate doc_id 'b0'" in str(err.value)
+    assert len(builds) >= 2
+    records = Manifest(out).records()
+    assert [r["input_file"] for r in records] \
+        == [str(src / "part-a.parquet"), str(src / "part-c.parquet")]
+    for rec in records:
+        got = pq.read_table(os.path.join(out, f"part-{rec['partition_id']:05d}"))
+        name = os.path.basename(rec["input_file"])[5]
+        assert _spans([got]) == oracle.extract_corpus(tables[name])
 
 
 # --- actor death ----------------------------------------------------------
