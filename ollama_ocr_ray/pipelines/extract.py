@@ -149,21 +149,16 @@ def ocr_pool(probe: DocProbe, *, ocr_burn: int = 0,
 
     Several partitions in one Dataset (``state.runner.run_extract``):
     ``probe`` is their ``merge_probes`` and ``largest`` the probe of the
-    largest one.  On the fused plan the batch is the one ``largest``
-    alone would get, so each partition fills waves of its own batches
-    and commits before the job ends (a one-wave pool, batch = job /
-    actors, finishes every partition at the end); the actors come from
-    the merged work, cut to the fewest that run its batches in as many
-    waves, since an actor idle in the last wave only adds start-up
-    (BASELINE r6 "One Dataset per extract job").
+    largest one.  The actors come from the merged work; on the fused
+    plan the batch is the one ``largest`` alone would get, so each
+    partition fills waves of its own batches and commits before the job
+    ends (a one-wave pool, batch = job / actors, finishes every
+    partition at the end; BASELINE r6 "One Dataset per extract job").
     """
     pool = _pool_rule(probe, ocr_burn, ocr_latency_ms, cap, plan)
-    if plan == "fused" and largest not in (None, probe) and probe.total:
-        batch_size = _pool_rule(largest, ocr_burn, ocr_latency_ms, cap,
-                                plan).batch_size
-        batches = math.ceil(probe.total / batch_size)
-        waves = math.ceil(batches / pool.actors)
-        pool = OcrPool(math.ceil(batches / waves), pool.num_cpus, batch_size)
+    if plan == "fused" and largest not in (None, probe):
+        pool = pool._replace(batch_size=_pool_rule(
+            largest, ocr_burn, ocr_latency_ms, cap, plan).batch_size)
     return pool
 
 

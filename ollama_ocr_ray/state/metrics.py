@@ -82,15 +82,13 @@ class ResourceRecorder:
 
     ``sink`` is a ``MetricsSink`` actor handle (picklable through
     ``fn_constructor_kwargs``); None disables recording at the cost of
-    a single ``if`` per batch.  ``tag`` is the default tag; ``record``
-    takes each batch's own."""
+    a single ``if`` per batch.  ``record`` takes each batch's tag."""
 
     FLUSH_SAMPLES = 8
     FLUSH_AGE_S = 2.0
 
-    def __init__(self, sink=None, tag=None):
+    def __init__(self, sink=None):
         self.sink = sink
-        self.tag = tag
         self.pid = os.getpid()
         self._last_cpu = time.process_time()
         self._gpu = None
@@ -114,7 +112,6 @@ class ResourceRecorder:
                tag=None) -> None:
         if self.sink is None:
             return
-        tag = self.tag if tag is None else tag
         cpu = time.process_time()
         sample = {
             "pid": self.pid,

@@ -38,9 +38,9 @@ def test_recorder_pushes_per_batch(ray_session):
     import ray
 
     sink = metrics.make_sink()
-    rec = metrics.ResourceRecorder(sink, tag=7)
-    rec.record(n_rows=4, n_media=1, wall_ms=2.5)  # first: flushes now
-    rec.record(n_rows=6, n_media=0, wall_ms=1.0)  # second: buffered
+    rec = metrics.ResourceRecorder(sink)
+    rec.record(n_rows=4, n_media=1, wall_ms=2.5, tag=7)  # first: flushes now
+    rec.record(n_rows=6, n_media=0, wall_ms=1.0, tag=7)  # second: buffered
     assert len(rec._buf) == 1
     rec.flush()
     got = ray.get(sink.drain.remote(7))

@@ -65,15 +65,16 @@ def test_medium_input_spreads_over_actors(cpus):
 
 def test_group_pool_takes_the_largest_partitions_batch(cpus):
     """Two 256-doc partitions in one Dataset (the benchmark's job): the
-    batch is each partition's own (64), so each fills waves of its own;
-    the merged work asks for 5 actors, but 4 run its 8 batches in the
-    same 2 waves.  One partition gets exactly its own pool."""
+    merged work sizes the actors (5), and the batch is each partition's
+    own (64), so each fills waves of its own.  One partition gets
+    exactly its own pool."""
     cpus(4)
     a, b = _probe(256, 1.03), _probe(256, 1.05)
     merged = px.merge_probes([a, b])
     assert (merged.docs, merged.total) == (512, 512)
-    assert ocr_pool(merged, **LATENCY).actors == 5
-    assert ocr_pool(merged, largest=a, **LATENCY) == px.OcrPool(4, 0.25, 64)
+    assert ocr_pool(merged, **LATENCY) == px.OcrPool(5, 0.25, 103)
+    assert ocr_pool(a, **LATENCY) == px.OcrPool(4, 0.25, 64)
+    assert ocr_pool(merged, largest=a, **LATENCY) == px.OcrPool(5, 0.25, 64)
     assert ocr_pool(a, largest=a, **LATENCY) == ocr_pool(a, **LATENCY)
 
 

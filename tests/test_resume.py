@@ -7,6 +7,7 @@ import pyarrow.dataset as pads
 import pytest
 
 from ollama_ocr_ray import oracle, synth
+from ollama_ocr_ray.pipelines import extract as px
 from ollama_ocr_ray.state.manifest import Manifest, partition_fingerprint
 from ollama_ocr_ray.state.runner import run_extract
 
@@ -25,7 +26,11 @@ def _read_spans(output_dir):
         if d.startswith("part-")
         for f in sorted(os.listdir(os.path.join(output_dir, d)))
     ]
-    t = pads.dataset(files).to_table(columns=["doc_id", "spans"])
+    return _spans(files)
+
+
+def _spans(source):
+    t = pads.dataset(source).to_table(columns=["doc_id", "spans"])
     return {
         r["doc_id"]: [
             (s["kind"], s["text"], s["media_ref"], s["order"]) for s in r["spans"]
@@ -104,6 +109,43 @@ def test_extract_output_stays_parquet_when_lance_imports(
     assert (s["partitions_run"], s["docs"]) == (1, 20)
     assert [r["docs"] for r in Manifest(out).records()] == [20]
     assert _read_spans(out) == oracle.extract_corpus(table)
+
+
+def test_lance_partitions_run_as_one_dataset(ray_session, tmp_path,
+                                             monkeypatch):
+    """A Lance read records no path, so a job over ``.lance`` inputs
+    tags each file's rows with its partition id as it reads them.
+    Here ``ray.data.read_lance`` reads parquet: the three files run as
+    one Dataset, and each partition commits its own file's documents,
+    equal to the oracle."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from ollama_ocr_ray.sources import io
+
+    read_parquet = rd.read_parquet
+    monkeypatch.setattr(io, "_has_lance", lambda: True)
+    monkeypatch.setattr(rd, "read_lance", lambda path, **kw: read_parquet(
+        path, file_extensions=None, **kw))
+    fused, builds = px.PLANS["fused"], []
+
+    def counted(ds, pool, **kw):
+        builds.append(pool)
+        return fused(ds, pool, **kw)
+
+    monkeypatch.setitem(px.PLANS, "fused", counted)
+    table = synth.gen_table(60, seed=23)
+    src = tmp_path / "in"
+    src.mkdir()
+    for i in range(3):
+        pq.write_table(table.slice(20 * i, 20),
+                       str(src / f"part-{i:05d}.lance"))
+    out = str(tmp_path / "out")
+    s = run_extract(str(src), out, plan="fused", ocr_concurrency=1)
+    assert (len(builds), s["partitions_run"], s["docs"]) == (1, 3, 60)
+    for i in range(3):
+        assert _spans(Manifest(out).part_dir(i)) \
+            == oracle.extract_corpus(table.slice(20 * i, 20))
 
 
 def test_driver_killed_between_commits_resumes_the_rest(
