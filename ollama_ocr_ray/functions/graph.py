@@ -211,10 +211,11 @@ def _pagerank_partitioned(edges, *, iters: int, scale: int,
     Hub skew: a web-graph hub (outdeg in the millions) would put every
     one of its edges into ONE key segment of the contribution join —
     past the block bound that whole segment routes to hash_join's
-    capped driver residual (measured: a Zipf-1.3 hub at 8M edges trips
-    the cap; a FIXED salt only divides the problem, and the residual is
-    size-biased toward exactly these runs).  So the join is
-    restructured around the skew:
+    boundary residual, which folds on the driver up to
+    ``folds.DRIVER_RESIDUAL_MAX`` rows and distributed above it, so the
+    hub's run still serializes into one fold (a FIXED salt only divides
+    the problem, and the residual is size-biased toward exactly these
+    runs).  So the join is restructured around the skew:
 
     - ranks x outdeg joins FIRST (both sides are node-keyed with ONE
       row per key — no segment ever exceeds 2 rows), yielding each

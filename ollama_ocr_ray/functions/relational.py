@@ -92,12 +92,6 @@ def top_docs_by_len(docs, k: int = 100):
     ).limit(k).select_columns(["doc_id", "n_chars"])
 
 
-# events_hourly's driver bound on its boundary markers (2 per sorted
-# block): its distinct-user correction is not a per-key fold, so it is
-# the one boundary fold outside ``folds.exact_segment_fold``.
-SESSION_OPEN_CAP = 4_000_000
-
-
 def events_hourly(events, *, sort_partitions: int | None = None,
                   fan_in: int = 64):
     """Tumbling 1-hour windows per event_type: row count, distinct
@@ -108,31 +102,39 @@ def events_hourly(events, *, sort_partitions: int | None = None,
     groups where a plain sort costs ~1 s, BASELINE.md r4).  Plan:
 
     1. per-batch pre-aggregate to (type, window, user) partials;
-    2. ONE sort on the FULL triple — every (type, window, user) group
-       is globally contiguous, so a split can only put a group at
-       block EDGES;
-    3. vectorized block fold: per (type, window) segment sums + a
-       distinct-user transition count, PLUS two marker rows per block
-       (the first and last rows' triples).  A group spanning k blocks
-       appears exactly k times among markers, an unsplit one at most
-       once — so per window ``overcount = markers - distinct marker
-       users``, computed on the driver from a 2-rows-per-block bounded
-       set (capped at ``SESSION_OPEN_CAP`` with a loud error);
-    4. repartition tree-reduce merges the per-block window partials
-       (sums are mergeable; the transition total minus overcount is
-       the exact distinct-user count) — the CLAUDE.md-sanctioned
-       fallback for low-cardinality keys, never a sorted-block
-       assumption.  The final task holds at most fan_in x windows
-       rows.
+    2. ONE sort on the FULL triple, folded by
+       ``folds.exact_segment_fold`` keyed on that triple: each triple
+       is folded exactly once (in its block's interior pass or in the
+       boundary residual), so a user counts once per window however
+       the sort split its partial rows.  The fold emits per-window
+       partials: summed events and micro-values, and ``n_users`` = the
+       number of distinct triples it saw;
+    3. repartition tree-reduce merges the window partials by addition
+       (the CLAUDE.md-sanctioned fallback for low-cardinality keys).
+       The fold output is keyed per window, not per triple, so the
+       "one block per key" output contract of ``exact_segment_fold``
+       is not relied on.  The final task holds at most fan_in x
+       windows rows.
 
-    The scale path for distinct users stays the HLL partial
-    (``sketches.approx_users``); exact is the oracle-checkable variant.
+    A hot user's triple carries one partial row per input batch, so
+    the residual stays small.  The scale path for distinct users stays
+    the HLL partial (``sketches.approx_users``); exact is the
+    oracle-checkable variant.
     """
-    fold_schema = pa.schema(
+    import ray.data
+
+    from .folds import exact_segment_fold
+
+    key = ["event_type", "window_start", "user_id"]
+    raw_schema = pa.schema(
         [("event_type", pa.string()), ("window_start", pa.int64()),
-         ("user_id", pa.int64()), ("n_events", pa.int64()),
-         ("micro", pa.int64()), ("n_users", pa.int64()),
-         ("__kind", pa.int8())]
+         ("user_id", pa.int64()), ("value_micro_sum", pa.int64()),
+         ("one_sum", pa.int64())]
+    )
+    win_schema = pa.schema(
+        [("event_type", pa.string()), ("window_start", pa.int64()),
+         ("n_events", pa.int64()), ("micro", pa.int64()),
+         ("n_users", pa.int64())]
     )
     out_schema = pa.schema(
         [("event_type", pa.string()), ("window_start", pa.timestamp("us")),
@@ -155,77 +157,46 @@ def events_hourly(events, *, sort_partitions: int | None = None,
                 "one": pa.array(np.ones(len(batch), dtype=np.int64)),
             }
         )
-        return t.group_by(["event_type", "window_start", "user_id"]).aggregate(
+        return t.group_by(key).aggregate(
             [("value_micro", "sum"), ("one", "sum")]
+        ).select(raw_schema.names).cast(raw_schema)
+
+    def fold_windows(rows: pa.Table) -> pa.Table:
+        # whole triple segments in, one row per (type, window) out
+        g = rows.group_by(["event_type", "window_start"]).aggregate(
+            [("one_sum", "sum"), ("value_micro_sum", "sum"),
+             ("user_id", "count_distinct")]
+        )
+        return pa.table(
+            [g.column("event_type"), g.column("window_start"),
+             g.column("one_sum_sum"), g.column("value_micro_sum_sum"),
+             g.column("user_id_count_distinct")],
+            schema=win_schema,
         )
 
-    def fold_block(batch: pa.Table) -> pa.Table:
+    def local_sum(batch: pa.Table) -> pa.Table:
         if batch.num_columns == 0 or batch.num_rows == 0:
-            return fold_schema.empty_table()
-        batch = batch.combine_chunks()
-        idx = pc.sort_indices(
-            batch,
-            sort_keys=[("event_type", "ascending"),
-                       ("window_start", "ascending"),
-                       ("user_id", "ascending")],
+            return win_schema.empty_table()
+        g = batch.group_by(["event_type", "window_start"]).aggregate(
+            [("n_events", "sum"), ("micro", "sum"), ("n_users", "sum")]
         )
-        batch = batch.take(idx).combine_chunks()
-        # dictionary codes so segment detection compares ints, not strings
-        et_codes = (
-            batch.column("event_type").chunk(0).dictionary_encode()
-            .indices.to_numpy(zero_copy_only=False)
+        return pa.table(
+            [g.column("event_type"), g.column("window_start"),
+             g.column("n_events_sum"), g.column("micro_sum"),
+             g.column("n_users_sum")],
+            schema=win_schema,
         )
-        win = np.asarray(batch.column("window_start"))
-        uid = np.asarray(batch.column("user_id"))
-        micro = np.asarray(batch.column("value_micro_sum"))
-        cnt = np.asarray(batch.column("one_sum"))
-        from .dedup import _segment_bounds
 
-        starts, _ = _segment_bounds(et_codes, win)
-        new_user = np.ones(len(uid), dtype=np.int64)
-        new_user[1:] = (
-            (et_codes[1:] != et_codes[:-1])
-            | (win[1:] != win[:-1])
-            | (uid[1:] != uid[:-1])
-        ).astype(np.int64)
-        n = len(uid)
-        # markers: the first and last rows' (type, window, user) triples
-        # (deduped when the block is one group) — the bounded side data
-        # the driver needs to correct boundary-split double counting
-        marker_idx = [0] if n == 1 or (
-            et_codes[0] == et_codes[-1] and win[0] == win[-1]
-            and uid[0] == uid[-1]
-        ) else [0, n - 1]
-        mi = pa.array(marker_idx, type=pa.int64())
-        zeros = np.zeros(len(marker_idx), dtype=np.int64)
-        agg = pa.table(
-            {
-                "event_type": batch.column("event_type").take(pa.array(starts)),
-                "window_start": pa.array(win[starts], type=pa.int64()),
-                "user_id": pa.nulls(len(starts), type=pa.int64()),
-                "n_events": pa.array(np.add.reduceat(cnt, starts),
-                                     type=pa.int64()),
-                "micro": pa.array(np.add.reduceat(micro, starts),
-                                  type=pa.int64()),
-                "n_users": pa.array(np.add.reduceat(new_user, starts),
-                                    type=pa.int64()),
-                "__kind": pa.array(
-                    np.zeros(len(starts), dtype=np.int8)
-                ),
-            }
-        ).cast(fold_schema)
-        markers = pa.table(
-            {
-                "event_type": batch.column("event_type").take(mi),
-                "window_start": pa.array(win[marker_idx], type=pa.int64()),
-                "user_id": pa.array(uid[marker_idx], type=pa.int64()),
-                "n_events": pa.array(zeros),
-                "micro": pa.array(zeros),
-                "n_users": pa.array(zeros),
-                "__kind": pa.array(np.ones(len(marker_idx), dtype=np.int8)),
-            }
-        ).cast(fold_schema)
-        return pa.concat_tables([agg, markers])
+    def finalize(batch: pa.Table) -> pa.Table:
+        merged = local_sum(batch)
+        return pa.table(
+            [merged.column("event_type"),
+             merged.column("window_start").cast(pa.timestamp("us")),
+             merged.column("n_events"), merged.column("n_users"),
+             pa.array(merged.column("micro").to_numpy(zero_copy_only=False)
+                      / 1e6, type=pa.float64())],
+            schema=out_schema,
+        )
 
     rows = events.map_batches(partial, batch_format="pyarrow")
     if sort_partitions:
@@ -234,103 +205,23 @@ def events_hourly(events, *, sort_partitions: int | None = None,
         # block costs one driver dispatch in each downstream pass) —
         # callers set this when the partial output is known-small
         rows = rows.repartition(sort_partitions)
-    folded = (
-        rows.sort(["event_type", "window_start", "user_id"])
-        .map_batches(fold_block, batch_size=None, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .materialize()
-    )
-
-    def keep(kind: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            if batch.num_columns == 0 or batch.num_rows == 0:
-                return fold_schema.empty_table()
-            batch = batch.combine_chunks()
-            return batch.filter(pc.equal(batch.column("__kind"), kind))
-        return fn
-
-    marker_rows = folded.map_batches(
-        keep(1), batch_format="pyarrow", zero_copy_batch=True
-    ).limit(SESSION_OPEN_CAP + 1).take_all()
-    if len(marker_rows) > SESSION_OPEN_CAP:
-        raise RuntimeError(
-            "events_hourly: boundary-marker set exceeds the driver cap "
-            f"({SESSION_OPEN_CAP} rows = 2 per sorted block); raise "
-            "target_max_block_size or use sketches.approx_users"
-        )
-    # per window: overcount = marker rows - distinct marker triples
-    seen: dict = {}
-    counts: dict = {}
-    for r in marker_rows:
-        w = (r["event_type"], r["window_start"])
-        counts[w] = counts.get(w, 0) + 1
-        seen.setdefault(w, set()).add(r["user_id"])
-    overcount = {w: counts[w] - len(seen[w]) for w in counts
-                 if counts[w] > len(seen[w])}
-
-    def local_sum(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return fold_schema.empty_table()
-        batch = batch.combine_chunks()
-        t = batch.select(["event_type", "window_start", "n_events",
-                          "micro", "n_users"])
-        g = t.group_by(["event_type", "window_start"]).aggregate(
-            [("n_events", "sum"), ("micro", "sum"), ("n_users", "sum")]
-        )
-        return pa.table(
-            {
-                "event_type": g.column("event_type"),
-                "window_start": g.column("window_start"),
-                "user_id": pa.nulls(g.num_rows, type=pa.int64()),
-                "n_events": g.column("n_events_sum"),
-                "micro": g.column("micro_sum"),
-                "n_users": g.column("n_users_sum"),
-                "__kind": pa.array(np.zeros(g.num_rows, dtype=np.int8)),
-            }
-        ).cast(fold_schema)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        merged = local_sum(batch).combine_chunks()
-        et = merged.column("event_type").to_pylist()
-        win = merged.column("window_start").to_numpy(zero_copy_only=False)
-        users = merged.column("n_users").to_numpy(
-            zero_copy_only=False
-        ).copy()
-        if overcount:
-            corr = np.array(
-                [overcount.get((e, int(w)), 0) for e, w in zip(et, win)],
-                dtype=np.int64,
-            )
-            users -= corr
-        return pa.table(
-            {
-                "event_type": merged.column("event_type"),
-                "window_start": merged.column("window_start")
-                .cast(pa.timestamp("us")),
-                "n_events": merged.column("n_events"),
-                "n_users": pa.array(users, type=pa.int64()),
-                "sum_value": pa.array(
-                    merged.column("micro").to_numpy(zero_copy_only=False)
-                    / 1e6,
-                    type=pa.float64(),
-                ),
-            }
-        ).cast(out_schema)
-
-    # repartition tree-reduce over the per-block window partials (the
-    # low-cardinality-key fallback; the final task sees <= fan_in x
-    # windows pre-merged rows).  The mid level only pays for itself
-    # when there are more folded blocks than fan_in.
-    agg = folded.map_batches(keep(0), batch_format="pyarrow",
-                             zero_copy_batch=True)
-    if folded.num_blocks() > fan_in:
-        agg = agg.repartition(fan_in).map_batches(
+    windows = exact_segment_fold(
+        rows.sort(key), key_cols=key, fold=fold_windows,
+        raw_schema=raw_schema, out_schema=win_schema,
+    ).materialize()
+    if windows.count() == 0:
+        # map_batches runs no task on an empty block, so finalize
+        # would not carry the output schema through
+        return ray.data.from_arrow(out_schema.empty_table())
+    # repartition tree-reduce over the window partials (the final task
+    # sees <= fan_in x windows pre-merged rows).  The mid level only
+    # pays for itself when there are more partial blocks than fan_in.
+    if windows.num_blocks() > fan_in:
+        windows = windows.repartition(fan_in).map_batches(
             local_sum, batch_size=None, batch_format="pyarrow",
             zero_copy_batch=True,
         )
-    return agg.repartition(1).map_batches(
+    return windows.repartition(1).map_batches(
         finalize, batch_size=None, batch_format="pyarrow",
         zero_copy_batch=True,
     )

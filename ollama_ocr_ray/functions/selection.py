@@ -143,7 +143,8 @@ def cap_per_group(ds, *, group_col: str, order_cols: list[str],
     ``k x groups x blocks`` rows (same move as grouped top-N), then ONE
     sort on (group, order) and a per-group first-k fold that is exact
     under equal-key block splits (``folds.exact_segment_fold``; a hot
-    group's boundary rows go to the capped driver residual).  The fold
+    group's boundary rows fold on the driver up to
+    ``DRIVER_RESIDUAL_MAX``, distributed above it).  The fold
     re-sorts each segment internally, so it is independent of residual
     row order.
     """

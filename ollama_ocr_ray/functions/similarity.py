@@ -333,10 +333,9 @@ def embedding_near_dup_blocked(embeddings, threshold: float,
     exchange carries N x B rows instead of shipping an O(N) matrix to
     every task.  Pick ``n_blocks`` ~ sqrt(2 x cluster parallelism).
 
-    For high thresholds (real near-dup dedup, cos ≥ ~0.8) prefer
-    ``embedding_near_dup_lsh`` — at this module's test threshold (0.45,
-    a 63° angle) no LSH family prunes without losing recall, which is
-    why the exact plan is the oracle-matched default.
+    This is the exact, oracle-matched plan.  At scale,
+    ``semdedup_pairs_clustered`` trades recall for compute, and the
+    ``semdedup_gate`` query measures it against this one.
     """
     B = n_blocks
 
@@ -427,95 +426,6 @@ def embedding_near_dup_blocked(embeddings, threshold: float,
     )
 
 
-def embedding_near_dup_lsh(embeddings, threshold: float, dim: int,
-                           n_planes: int = 8, n_tables: int = 8,
-                           seed: int = 42):
-    """Approximate all-pairs cosine ≥ threshold via BANDED hyperplane
-    LSH: ``n_tables`` independent sign-bit bucketings; vectors sharing
-    a bucket in ANY table become candidates, verified exactly in the
-    bucket, then pairs dedup across tables.  Recall for a pair at
-    cosine c is ``1-(1-p^b)^L`` with ``p = 1 - arccos(c)/pi`` — tune
-    (n_planes, n_tables) to the threshold; sensible at c ≥ ~0.8, and
-    measured against the exact plan in tests.  The exchange carries
-    each vector ``n_tables`` times (bucket key + vector); nothing
-    quadratic moves."""
-    rng = np.random.RandomState(seed)
-    planes = rng.normal(size=(n_tables, n_planes, dim))
-    weights = (1 << np.arange(n_planes, dtype=np.int64))
-
-    def bucket_rows(batch: pa.Table) -> pa.Table:
-        batch = batch.combine_chunks()
-        ids, mat = _batch_matrix(batch)
-        mn = _normalize(mat)
-        n = len(ids)
-        emb = batch.column("embedding").combine_chunks()
-        tables = []
-        for t in range(n_tables):
-            bits = (mn @ planes[t].T) > 0
-            bucket = bits @ weights + (t << np.int64(48))
-            tables.append(pa.table(
-                {
-                    "bucket": pa.array(bucket, type=pa.int64()),
-                    "vec_id": batch.column("vec_id"),
-                    "embedding": emb,
-                }
-            ))
-        return pa.concat_tables(tables)
-
-    out_schema = pa.schema(
-        [("a_id", pa.int64()), ("b_id", pa.int64()), ("sim", pa.float64())]
-    )
-
-    def bucket_pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_columns == 0 or batch.num_rows == 0:
-            return out_schema.empty_table()
-        batch = batch.combine_chunks()
-        bcol = np.asarray(batch.column("bucket"))
-        bounds = np.concatenate(
-            [[0], np.nonzero(bcol[1:] != bcol[:-1])[0] + 1, [len(bcol)]]
-        )
-        a_out, b_out, s_out = [], [], []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            sub = batch.slice(s, e - s)
-            ids, mat = _batch_matrix(sub)
-            mn = _normalize(mat)
-            sims = mn @ mn.T
-            iu, ju = np.triu_indices(len(ids), k=1)
-            hit = (sims[iu, ju] >= threshold) & (ids[iu] != ids[ju])
-            ai, bi = ids[iu[hit]], ids[ju[hit]]
-            a_out.extend(np.minimum(ai, bi).tolist())
-            b_out.extend(np.maximum(ai, bi).tolist())
-            s_out.extend(sims[iu[hit], ju[hit]].tolist())
-        return pa.table(
-            {"a_id": pa.array(a_out, type=pa.int64()),
-             "b_id": pa.array(b_out, type=pa.int64()),
-             "sim": pa.array(s_out, type=pa.float64())}
-        ).cast(out_schema)
-
-    from ray.data.aggregate import Max
-
-    from .folds import exact_segment_fold
-
-    emb_type = embeddings.schema().base_schema.field("embedding").type
-    bucket_schema = pa.schema(
-        [("bucket", pa.int64()), ("vec_id", pa.int64()),
-         ("embedding", emb_type)]
-    )
-    # split buckets route to the bounded residual (round-4 hardening)
-    pairs = exact_segment_fold(
-        embeddings.map_batches(
-            bucket_rows, batch_format="pyarrow", zero_copy_batch=True
-        ).sort("bucket"),
-        key_cols=["bucket"], fold=bucket_pairs,
-        raw_schema=bucket_schema, out_schema=out_schema,
-    )
-    return pairs.groupby(["a_id", "b_id"]).aggregate(
-        Max("sim", alias_name="sim")
-    )
-
-
 def _kmeans(sample: np.ndarray, nlist: int, iters: int = 8,
             seed: int = 42) -> np.ndarray:
     """Tiny deterministic k-means for IVF centroids (driver-side over a
@@ -600,8 +510,9 @@ def semdedup_pairs_clustered(embeddings, *, threshold: float,
     driver-side sample (broadcast once), one streaming assignment
     pass, ONE sort on the cluster id, and per-cluster all-pairs cosine
     under ``folds.exact_segment_fold`` (a hot cluster's boundary rows
-    go to the capped driver residual).  Emits (a_id, b_id, sim) with
-    a_id < b_id and sim >= threshold.
+    fold on the driver up to ``DRIVER_RESIDUAL_MAX``, distributed
+    above it).  Emits (a_id, b_id, sim) with a_id < b_id and
+    sim >= threshold.
 
     Vs the exact block-pair plan (``embedding_near_dup_blocked``): the
     exchange carries each vector ONCE (not B times) and compute drops

@@ -119,12 +119,6 @@ def main(argv=None) -> int:
                          "(file,engine,chars,pages,type) under "
                          "<output>/summary/ — the --csv flag of "
                          "ocr_router.py, one part per partition")
-    ap.add_argument("--wave", type=int, default=4,
-                    help="ignored by every job, kept so older command "
-                         "lines still parse: extract runs the files of "
-                         "one plan as one Dataset on one pool, and the "
-                         "other jobs run one Ray task per partition, so "
-                         "Ray owns their parallelism")
     ap.add_argument("--max-partitions", type=int, default=None,
                     help="bound pending partitions this run (kill/resume testing)")
     ap.add_argument("--num-cpus", type=int, default=None,
@@ -152,7 +146,6 @@ def main(argv=None) -> int:
         if args.job == "ingest":
             _warn_ignored("ingest",
                           [("--model", args.model, None),
-                           ("--wave", args.wave, 4),
                            ("--shuffle-seed", args.shuffle_seed, None),
                            ("--partition-by", args.partition_by, None),
                            ("--manifest", args.manifest, None),
@@ -177,7 +170,6 @@ def main(argv=None) -> int:
                                  "(a prep/curate output data dir)")
             _warn_ignored("export",
                           [("--model", args.model, None),
-                           ("--wave", args.wave, 4),
                            ("--shuffle-seed", args.shuffle_seed, None),
                            ("--partition-by", args.partition_by, None)]
                           + index_flags)
@@ -194,8 +186,7 @@ def main(argv=None) -> int:
             print(json.dumps(summary))
             return 0
         if args.job in ("prep", "curate"):
-            ignored = [("--model", args.model, None),
-                       ("--wave", args.wave, 4)] + index_flags
+            ignored = [("--model", args.model, None)] + index_flags
             if args.job == "curate":
                 # run_curate takes neither flag; warn instead of
                 # silently dropping a requested shuffle/partitioning
@@ -249,8 +240,7 @@ def main(argv=None) -> int:
             print(json.dumps(summary))
             return 0
         _warn_ignored("extract",
-                      [("--manifest", args.manifest, None),
-                       ("--wave", args.wave, 4)] + index_flags)
+                      [("--manifest", args.manifest, None)] + index_flags)
         from .stages.engines import resolve_model
         from .state.runner import run_extract
 

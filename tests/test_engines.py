@@ -155,11 +155,10 @@ def test_cli_extract_with_injected_model(ray_session, tmp_path, capsys):
 
     corpus_dir = synth.write_corpus(str(tmp_path / "corpus"), 120, seed=23)
     out = str(tmp_path / "out")
-    # 4-CPU test session: wave 2 + pool of 1 leaves CPUs for the read
-    # stage (exact-CPUs fixed pools starve it and stall, BASELINE.md)
+    # 4-CPU test session: a pool of 1 leaves CPUs for the read stage
+    # (exact-CPUs fixed pools starve it and stall, BASELINE.md)
     assert main(["--input", corpus_dir, "--output", out,
-                 "--model", "demo", "--ocr-concurrency", "1",
-                 "--wave", "2"]) == 0
+                 "--model", "demo", "--ocr-concurrency", "1"]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["partitions_run"] == summary["partitions_total"] > 0
 

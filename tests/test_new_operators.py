@@ -185,12 +185,15 @@ def test_sessionize_exact_when_user_run_splits_blocks(ray_session,
         assert [r["n_events"] for r in ctl] == [2, 2, 2]
 
 
-def test_events_hourly_exact_when_group_splits_blocks(ray_session):
+def test_events_hourly_exact_when_group_splits_blocks(ray_session,
+                                                     monkeypatch):
     # one hot (type, window, user) group scattered over 20 input blocks
     # emits one partial row per block; the sort may split those equal
-    # triples across output blocks, and the marker correction must keep
-    # the distinct-user count exact (ADVICE r3 medium)
+    # triples across output blocks, and the triple-keyed segment fold
+    # must keep the distinct-user count exact (ADVICE r3 medium)
     import ray.data as rd
+
+    from ollama_ocr_ray.functions import folds
 
     base = np.datetime64("2024-03-01T10:00:00", "us")
     n = 2000
@@ -205,15 +208,24 @@ def test_events_hourly_exact_when_group_splits_blocks(ray_session):
             "value": pa.array([0.5] * (n + 3)),
         }
     )
-    out = relational.events_hourly(
-        rd.from_arrow(tbl).repartition(20)
-    ).take_all()
-    by = {r["event_type"]: r for r in out}
-    assert len(out) == 2
-    assert by["a"]["n_events"] == n and by["a"]["n_users"] == 1
-    assert by["a"]["sum_value"] == n * 0.5
-    assert by["b"]["n_events"] == 3 and by["b"]["n_users"] == 3
-    assert by["b"]["sum_value"] == 1.5
+    # the driver residual fold, then the distributed one
+    for driver_max in (folds.DRIVER_RESIDUAL_MAX, 0):
+        monkeypatch.setattr(folds, "DRIVER_RESIDUAL_MAX", driver_max)
+        out = relational.events_hourly(
+            rd.from_arrow(tbl).repartition(20)
+        ).take_all()
+        by = {r["event_type"]: r for r in out}
+        assert len(out) == 2
+        assert by["a"]["n_events"] == n and by["a"]["n_users"] == 1
+        assert by["a"]["sum_value"] == n * 0.5
+        assert by["b"]["n_events"] == 3 and by["b"]["n_users"] == 3
+        assert by["b"]["sum_value"] == 1.5
+
+    # empty input: no windows, and still the five output columns
+    empty = relational.events_hourly(rd.from_arrow(tbl.slice(0, 0)))
+    assert empty.count() == 0
+    assert empty.schema().names == ["event_type", "window_start",
+                                    "n_events", "n_users", "sum_value"]
 
 
 def test_keep_min_and_droplist_exact_under_hot_key_splits(ray_session,
@@ -822,37 +834,6 @@ def test_embedding_near_dup_blocked_exact(ray_session):
         rd.from_arrow(t).repartition(5), threshold=0.7, n_blocks=4))
     got = set(zip(out.column("a_id").to_pylist(), out.column("b_id").to_pylist()))
     assert got == want and (10, 50) in got and (120, 200) in got
-
-
-def test_embedding_near_dup_lsh_recall(ray_session):
-    """Banded hyperplane LSH at a high threshold must find every
-    planted near-dup pair the exact plan finds (recall 1.0 here; the
-    docstring formula governs tuning)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    rng = np.random.default_rng(5)
-    n, dim = 400, 32
-    mat = rng.normal(size=(n, dim))
-    for a, b in [(7, 300), (42, 101), (250, 399)]:
-        mat[b] = mat[a] + rng.normal(scale=0.05, size=dim)
-    t = pa.table({
-        "vec_id": pa.array(np.arange(n), type=pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in mat],
-                              type=pa.list_(pa.float64())),
-    })
-    mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    sims = mn @ mn.T
-    iu, ju = np.triu_indices(n, k=1)
-    hit = sims[iu, ju] >= 0.85
-    want = set(zip(iu[hit].tolist(), ju[hit].tolist()))
-    out = _collect(similarity.embedding_near_dup_lsh(
-        rd.from_arrow(t).repartition(4), threshold=0.85, dim=dim,
-        n_planes=8, n_tables=12))
-    got = set(zip(out.column("a_id").to_pylist(), out.column("b_id").to_pylist()))
-    assert want <= got         # full recall on the planted set
-    assert got == want         # precision is exact (in-bucket verify)
 
 
 def test_hash_join_inner_semantics(ray_session):

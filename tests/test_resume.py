@@ -304,8 +304,7 @@ def test_curate_run_and_resume(ray_session, docs_shards, tmp_path, capsys):
     assert s1["status"] == "partial" and s1["partitions_run"] == 2
 
     assert main(["--input", docs_shards, "--output", out, "--job",
-                 "curate", "--sample-k", "5", "--sample-seed", "7",
-                 "--wave", "2"]) == 0
+                 "curate", "--sample-k", "5", "--sample-seed", "7"]) == 0
     s2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert s2["status"] == "done" and s2["partitions_skipped"] == 2
 

@@ -587,3 +587,57 @@ def test_killed_span_actor_gives_identical_output_or_fails(ray_session,
     else:
         assert got == oracle.extract_corpus(table)
     assert os.path.exists(marker)
+
+
+def test_killed_fused_actor_mid_job_commits_or_names_the_partition(
+        ray_session, tmp_path, monkeypatch):
+    """A ``FusedExtractor`` actor that dies on the first batch of a
+    three-file job: the job either commits all three partitions with the
+    oracle's output (the batch retried on the restarted actor), or
+    raises naming the partition it lost, and a rerun then completes."""
+    from ollama_ocr_ray.state.manifest import Manifest
+    from ollama_ocr_ray.state.runner import run_extract
+
+    marker = str(tmp_path / "killed")
+
+    class DyingExtractor(FusedExtractor):
+        def __call__(self, batch):
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return super().__call__(batch)
+
+    def dying_plan(docs, pool, *, offset_range=None, with_stats=False,
+                   totals=None, **ocr_kwargs):
+        return docs.map_batches(
+            DyingExtractor, batch_format="pyarrow", zero_copy_batch=True,
+            fn_constructor_kwargs=dict(with_stats=with_stats,
+                                       offset_range=offset_range,
+                                       **ocr_kwargs),
+            **pool.map_kwargs(),
+        )
+
+    monkeypatch.setitem(px.PLANS, "fused", dying_plan)
+    src = tmp_path / "in"
+    src.mkdir()
+    tables = {name: synth.gen_table(20, seed=11, start=20 * k)
+              for k, name in enumerate("abc")}
+    for name, table in tables.items():
+        pq.write_table(table, str(src / f"part-{name}.parquet"))
+    out = str(tmp_path / "out")
+    kw = dict(plan="fused", ocr_latency_ms=1.0)
+    try:
+        s = run_extract(str(src), out, **kw)
+    except RuntimeError as e:
+        assert any(f"part-{name}.parquet" in str(e) for name in tables)
+        s = run_extract(str(src), out, **kw)
+        assert s["partitions_skipped"] + s["partitions_run"] == 3
+    else:
+        assert s["partitions_run"] == 3
+    assert os.path.exists(marker)
+    records = Manifest(out).records()
+    assert len(records) == 3
+    for rec in records:
+        got = pq.read_table(os.path.join(out, f"part-{rec['partition_id']:05d}"))
+        name = os.path.basename(rec["input_file"])[5]
+        assert _spans([got]) == oracle.extract_corpus(tables[name])
