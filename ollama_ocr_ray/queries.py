@@ -1843,22 +1843,27 @@ def q_media_route(sf_dir: str):
     interleaved corpus's exploded spans PLUS planted spans covering
     every branch: keyword printed/handwriting, printed-wins-over-
     handwriting, store-resolved ruled/flat payloads, and the
-    unreadable-default.  One row per disagreeing span — EXPECTED
-    EMPTY, so the SQL oracle is the empty table."""
+    unreadable-default.  ``RouterModel.route_one`` (the per-payload
+    path ``--model router`` runs) is checked on the same spans, fed a
+    ``MediaPayload`` for store refs and the ref string otherwise.  One
+    row per disagreeing span — EXPECTED EMPTY, so the SQL oracle is the
+    empty table."""
     import ray.data as rd
 
     from . import oracle as orc
     from .schema import EXPLODED_FIELDS
     from .stages.explode import explode_batch
-    from .stages.routing import route_media_batch
+    from .stages.ocr import MediaPayload
+    from .stages.routing import RouterModel, route_media_batch
 
     exploded_schema = pa.schema(EXPLODED_FIELDS)
     store = {f"planted://img/{i}": bytes([i]) for i in range(24)}
+    # keywords sit in the basename: the only part keyword routing reads
     planted_refs = list(store) + [
-        "planted://receipt_scan/0", "planted://tax-invoice/1",
-        "planted://meeting-notes/2", "planted://handwritten_draft/3",
-        "planted://receipt-notes/4",   # printed keywords win
-        "planted://unreadable/5",      # no keyword, no store: default
+        "planted://a/receipt_scan_0", "planted://a/tax-invoice_1",
+        "planted://a/meeting-notes_2", "planted://a/handwritten_draft_3",
+        "planted://a/receipt-notes_4",   # printed keywords win
+        "planted://a/unreadable_5",      # no keyword, no store: default
     ]
     planted = pa.table(
         {
@@ -1878,6 +1883,8 @@ def q_media_route(sf_dir: str):
 
     out_schema = pa.schema([("doc_id", pa.string()),
                             ("reason", pa.string())])
+    router = RouterModel(printed=list, handwriting=list,
+                         decode=_route_decode)
 
     def check(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
@@ -1891,15 +1898,17 @@ def q_media_route(sf_dir: str):
         bad, why = [], []
         for d, kd, ref, g in zip(ids, kinds, refs, got):
             if kd != "media":
-                exp = ""
+                exp = one = ""
             else:
                 exp = orc.route_media_span(
                     ref,
                     payload_image=(_route_decode(store[ref])
                                    if ref in store else None))
-            if g != exp:
+                one = router.route_one(MediaPayload(store[ref], ref)
+                                       if ref in store else ref)
+            if g != exp or one != exp:
                 bad.append(d)
-                why.append(f"{ref}: engine={g} oracle={exp}")
+                why.append(f"{ref}: engine={g} router={one} oracle={exp}")
         return pa.table({"doc_id": pa.array(bad, type=pa.string()),
                          "reason": pa.array(why, type=pa.string())})
 

@@ -13,14 +13,33 @@ import argparse
 import json
 
 
-def _warn_ignored(job: str, pairs) -> None:
-    """One diagnostic per accepted-but-inapplicable flag (ADVICE r3:
-    never silently drop a requested behavior)."""
+# the flags (argparse dests) each job reads; --input, --output, --job
+# and --num-cpus apply to every job
+_JOB_FLAGS = {
+    "extract": {"policy", "model", "ocr_burn", "ocr_latency_ms",
+                "ocr_concurrency", "csv", "max_partitions"},
+    "prep": {"quality_threshold", "overwrite", "shuffle_seed",
+             "partition_by", "max_partitions"},
+    "curate": {"quality_threshold", "max_top2gram_e4", "sample_k",
+               "sample_seed", "overwrite", "max_partitions"},
+    "export": {"manifest", "capacity", "n_shards", "max_partitions"},
+    "ingest": {"index", "index_shards", "dedup", "threshold",
+               "hot_bucket_cap"},
+}
+_EVERY_JOB = {"input", "output", "job", "num_cpus"}
+
+
+def _warn_ignored(ap: argparse.ArgumentParser, args) -> None:
+    """One diagnostic per flag set away from its default that the
+    chosen job does not read (ADVICE r3: never silently drop a
+    requested behavior)."""
     import sys
 
-    for flag, val, default in pairs:
-        if val != default:
-            print(f"warning: {flag} does not apply to --job {job}; "
+    reads = _EVERY_JOB | _JOB_FLAGS[args.job]
+    for dest, val in vars(args).items():
+        if dest not in reads and val != ap.get_default(dest):
+            flag = "--" + dest.replace("_", "-")
+            print(f"warning: {flag} does not apply to --job {args.job}; "
                   "ignored", file=sys.stderr)
 
 
@@ -53,8 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("--sample-seed", type=int, default=0,
                     help="curate job: stratified-sample hash seed")
     ap.add_argument("--overwrite", action="store_true",
-                    help="prep job: replace a non-empty --output dir "
-                         "instead of failing fast")
+                    help="prep/curate job: replace a non-empty --output "
+                         "dir instead of failing fast")
     ap.add_argument("--partition-by", default=None,
                     help="prep job: hive-partition the parquet output by "
                          "this column (e.g. pred_lang) — one directory "
@@ -139,18 +158,8 @@ def main(argv=None) -> int:
         from ray.data import DataContext
 
         DataContext.get_current().enable_progress_bars = False
-        index_flags = [("--index", args.index, None),
-                       ("--index-shards", args.index_shards, 8),
-                       ("--dedup", args.dedup, "exact"),
-                       ("--threshold", args.threshold, 0.7)]
+        _warn_ignored(ap, args)
         if args.job == "ingest":
-            _warn_ignored("ingest",
-                          [("--model", args.model, None),
-                           ("--shuffle-seed", args.shuffle_seed, None),
-                           ("--partition-by", args.partition_by, None),
-                           ("--manifest", args.manifest, None),
-                           ("--max-partitions", args.max_partitions,
-                            None)])
             from .state.runner import run_ingest
 
             summary = run_ingest(
@@ -168,11 +177,6 @@ def main(argv=None) -> int:
             if args.manifest is None:
                 raise SystemExit("--job export requires --manifest "
                                  "(a prep/curate output data dir)")
-            _warn_ignored("export",
-                          [("--model", args.model, None),
-                           ("--shuffle-seed", args.shuffle_seed, None),
-                           ("--partition-by", args.partition_by, None)]
-                          + index_flags)
             from .state.runner import run_export
 
             summary = run_export(
@@ -186,14 +190,6 @@ def main(argv=None) -> int:
             print(json.dumps(summary))
             return 0
         if args.job in ("prep", "curate"):
-            ignored = [("--model", args.model, None)] + index_flags
-            if args.job == "curate":
-                # run_curate takes neither flag; warn instead of
-                # silently dropping a requested shuffle/partitioning
-                # (ADVICE r3)
-                ignored += [("--shuffle-seed", args.shuffle_seed, None),
-                            ("--partition-by", args.partition_by, None)]
-            _warn_ignored(args.job, ignored)
             import os
             import shutil
 
@@ -239,8 +235,6 @@ def main(argv=None) -> int:
                 )
             print(json.dumps(summary))
             return 0
-        _warn_ignored("extract",
-                      [("--manifest", args.manifest, None)] + index_flags)
         from .stages.engines import resolve_model
         from .state.runner import run_extract
 

@@ -145,24 +145,55 @@ def _load_embeddings():
     return t, ids, mat
 
 
-def test_knn_cosine_matches_numpy(ray_session):
+def test_knn_cosine_matches_numpy(ray_session, tie_corpus):
+    """Exact top-k in numpy's (sim desc, vec_id) order, on the testdata
+    embeddings and on a corpus whose repeated vector (ids 0-29) spans
+    two blocks: a tie at the k-th place goes to the smaller ids."""
     import ray.data as rd
 
     t, ids, mat = _load_embeddings()
-    qm, qids = mat[:3], ids[:3]
-    out = _collect(
-        similarity.knn_cosine(rd.read_parquet(f"{SF}/embeddings.parquet",
-                                              columns=["vec_id", "embedding"]),
-                              qm, qids, k=5)
-    ).to_pylist()
+    tie_mat, tie_t = tie_corpus
+    tie_ids = np.arange(len(tie_mat))
+    cases = [
+        (rd.read_parquet(f"{SF}/embeddings.parquet",
+                         columns=["vec_id", "embedding"]),
+         ids, mat, ids[:3]),
+        (rd.from_arrow(tie_t).repartition(6), tie_ids, tie_mat,
+         np.array([0, 40, 77])),
+    ]
+    for ds, ids, mat, qids in cases:
+        qm = mat[qids]
+        out = _collect(similarity.knn_cosine(ds, qm, qids, k=5)).to_pylist()
+        n = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        for qi, qid in enumerate(qids):
+            sims = n @ (qm[qi] / np.linalg.norm(qm[qi]))
+            order = np.lexsort((ids, -sims))
+            expect = ids[order[:5]].tolist()
+            got = [r["vec_id"] for r in sorted(out, key=lambda r: r["rank"])
+                   if r["q_id"] == qid]
+            assert got == expect, qid
+
+
+def test_ann_ties_match_numpy(ray_session, tie_corpus):
+    """A query repeated at ids 0-29 shares its LSH bucket and IVF list
+    with every copy, so both ANN operators return numpy's exact top-k:
+    the five smallest ids of the tie."""
+    import ray.data as rd
+
+    mat, t = tie_corpus
+    ids = np.arange(len(mat))
     n = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    for qi, qid in enumerate(qids):
-        sims = n @ (qm[qi] / np.linalg.norm(qm[qi]))
-        order = np.lexsort((ids, -sims))
-        expect = ids[order[:5]].tolist()
-        got = [r["vec_id"] for r in sorted(out, key=lambda r: r["rank"])
-               if r["q_id"] == qid]
-        assert got == expect, qid
+    expect = ids[np.lexsort((ids, -(n @ n[0])))[:5]].tolist()
+    assert expect == [0, 1, 2, 3, 4]
+    qm, qids = mat[:1], np.array([0])
+    ds = rd.from_arrow(t).repartition(6)
+    for out in (
+        similarity.lsh_ann(ds, qm, qids, dim=mat.shape[1], k=5),
+        similarity.ivf_ann(ds, qm, qids, mat, k=5, nlist=8, nprobe=4),
+    ):
+        got = [r["vec_id"] for r in sorted(_collect(out).to_pylist(),
+                                           key=lambda r: r["rank"])]
+        assert got == expect
 
 
 def test_lsh_ann_recall(ray_session):

@@ -447,9 +447,11 @@ def test_exact_segment_fold_hot_key_distributed(ray_session, monkeypatch):
     assert len(got) == 1 + n_blocks
 
 
-def test_knn_join_matches_numpy(ray_session):
+def test_knn_join_matches_numpy(ray_session, tie_corpus):
     """Exact k-NN self-join over block-pair groups equals a single
-    dense numpy pass, ranks and ties included."""
+    dense numpy pass, ranks and ties included: on random vectors, and
+    on a corpus whose ids 0-29 repeat one vector (ties at the k-th
+    place go to the smaller neighbor id)."""
     import ray.data as rd
 
     rng = np.random.default_rng(3)
@@ -459,21 +461,23 @@ def test_knn_join_matches_numpy(ray_session):
         {"vec_id": pa.array(np.arange(n), type=pa.int64()),
          "embedding": pa.array([row.tolist() for row in mat])}
     )
-    out = _collect(
-        similarity.knn_join(rd.from_arrow(emb).repartition(6),
-                            k=k, n_blocks=3)
-    ).to_pylist()
-    assert len(out) == n * k
-    mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    sims = mn @ mn.T
-    np.fill_diagonal(sims, -np.inf)
-    by_q: dict = {}
-    for r in out:
-        by_q.setdefault(r["q_id"], []).append((r["rank"], r["n_id"]))
-    for q in range(n):
-        want = np.lexsort((np.arange(n), -sims[q]))[:k].tolist()
-        got = [nid for _, nid in sorted(by_q[q])]
-        assert got == want
+    for mat, emb in ((mat, emb), tie_corpus):
+        n = len(mat)
+        out = _collect(
+            similarity.knn_join(rd.from_arrow(emb).repartition(6),
+                                k=k, n_blocks=3)
+        ).to_pylist()
+        assert len(out) == n * k
+        mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        sims = mn @ mn.T
+        np.fill_diagonal(sims, -np.inf)
+        by_q: dict = {}
+        for r in out:
+            by_q.setdefault(r["q_id"], []).append((r["rank"], r["n_id"]))
+        for q in range(n):
+            want = np.lexsort((np.arange(n), -sims[q]))[:k].tolist()
+            got = [nid for _, nid in sorted(by_q[q])]
+            assert got == want
 
 
 def test_joins_exact_under_hot_key_splits(ray_session):

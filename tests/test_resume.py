@@ -326,6 +326,27 @@ def test_curate_run_and_resume(ray_session, docs_shards, tmp_path, capsys):
     assert s4["partitions_run"] == 0 and s4["finalized"] is True
 
 
+def test_cli_warns_for_flags_its_job_does_not_read(ray_session, tmp_path,
+                                                   capsys):
+    """--job prep reads no OCR flag: a prep run given --ocr-latency-ms
+    still runs, and names the flag once on stderr."""
+    import pyarrow.parquet as pq
+
+    from ollama_ocr_ray.run import main
+
+    src = tmp_path / "src"
+    src.mkdir()
+    t = pq.read_table("/root/testdata/sf0.001/documents.parquet",
+                      columns=["doc_id", "text"]).slice(0, 20)
+    pq.write_table(t, str(src / "docs-00.parquet"))
+    assert main(["--input", str(src), "--output", str(tmp_path / "out"),
+                 "--job", "prep", "--ocr-latency-ms", "5"]) == 0
+    err = capsys.readouterr().err
+    assert ("warning: --ocr-latency-ms does not apply to --job prep; "
+            "ignored") in err
+    assert err.count("does not apply") == 1
+
+
 def test_prep_append_new_partition(ray_session, docs_shards, tmp_path):
     """Appending an input file to a finished prep export reruns ONLY the
     new partition + the finalize pass (the incremental-ingest claim of
