@@ -8,9 +8,10 @@ span-equality tests are a real check (SURVEY.md §5.2).  Only the pure
 contract constants/functions in ``ollama_ocr_ray.spec`` are shared.
 
 HTML here is extracted by building an explicit DOM tree with
-``HTMLParser`` and recursively walking it; the Ray stage scores blocks in
-one pass over a tag/frame stack, fed by its own regex tokenizer (with
-``HTMLParser`` only as a fallback for markup the tokenizer rejects).
+``HTMLParser`` and walking it depth-first; the Ray stage scores blocks in
+one pass over a token list (a tag stack and a list per open block), read
+by its own regex (with ``HTMLParser`` only as a fallback for markup the
+regex rejects).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .spec import (
 )
 
 
-# --- HTML: DOM tree build + recursive walk ---------------------------------
+# --- HTML: DOM tree build + depth-first walk ------------------------------
 class _Node:
     __slots__ = ("tag", "children")
 
@@ -74,38 +75,45 @@ class _TreeBuilder(HTMLParser):
 
 
 def _has_block_descendant(node: _Node) -> bool:
-    for c in node.children:
+    todo = list(node.children)
+    while todo:
+        c = todo.pop()
         if isinstance(c, _Node) and c.tag not in PRUNE_TAGS:
             # pruned subtrees are removed before candidate selection
-            if c.tag in BLOCK_TAGS or _has_block_descendant(c):
+            if c.tag in BLOCK_TAGS:
                 return True
+            todo.extend(c.children)
     return False
 
 
-def _gather_text(node: _Node, parts: list, links: list, in_a: bool) -> None:
-    for c in node.children:
+def _gather_text(node: _Node, parts: list, links: list) -> None:
+    """Text nodes under ``node`` in document order; ``links`` gets those
+    with an <a> ancestor inside ``node``.  An explicit stack, so a deep
+    nest cannot overflow Python's recursion limit."""
+    todo = [(c, False) for c in reversed(node.children)]
+    while todo:
+        c, in_a = todo.pop()
         if isinstance(c, str):
             parts.append(c)
             if in_a:
                 links.append(c)
-        else:
-            if c.tag in PRUNE_TAGS:
-                continue
-            _gather_text(c, parts, links, in_a or c.tag == "a")
+        elif c.tag not in PRUNE_TAGS:
+            in_a = in_a or c.tag == "a"
+            todo.extend((g, in_a) for g in reversed(c.children))
 
 
 def _leaf_blocks(node: _Node, out: list) -> None:
     """Collect leaf BLOCK_TAGS elements in document order, skipping
-    pruned subtrees."""
-    for c in node.children:
-        if not isinstance(c, _Node):
-            continue
-        if c.tag in PRUNE_TAGS:
+    pruned subtrees (an explicit stack, as in ``_gather_text``)."""
+    todo = list(reversed(node.children))
+    while todo:
+        c = todo.pop()
+        if not isinstance(c, _Node) or c.tag in PRUNE_TAGS:
             continue
         if c.tag in BLOCK_TAGS and not _has_block_descendant(c):
             out.append(c)
         else:
-            _leaf_blocks(c, out)
+            todo.extend(reversed(c.children))
 
 
 def extract_html(markup: str) -> list[str]:
@@ -119,7 +127,7 @@ def extract_html(markup: str) -> list[str]:
     for b in blocks:
         parts: list = []
         links: list = []
-        _gather_text(b, parts, links, in_a=False)
+        _gather_text(b, parts, links)
         text = collapse_ws(" ".join(parts))
         link_text = collapse_ws(" ".join(links))
         if not text:

@@ -53,7 +53,7 @@ _BURN_MS_PER_ITER = 0.00055  # measured sha256 cost on the bench host
 # The pool rule's two costs, measured on a 4-CPU host (BASELINE.md r6):
 # extraction CPU per document outside OCR, and the wall time one more
 # actor adds to a short pipeline (start-up, imports, first dispatch).
-_DOC_MS = 0.25
+_DOC_MS = 0.08
 _ACTOR_START_S = 0.25
 # Documents ``choose_plan`` reads from the head of the input (a parquet
 # input's head row groups, else 1-2 input blocks re-read by the main

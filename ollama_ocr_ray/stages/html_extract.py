@@ -1,39 +1,48 @@
-"""HTML boilerplate stripping: one block-scoring state, fed by a
-compiled-regex tokenizer, with ``html.parser.HTMLParser`` as fallback.
+"""HTML boilerplate stripping: one block-state loop over a token list,
+read from the markup by a compiled regex, or by ``html.parser.HTMLParser``
+where the regex cannot read it exactly.
 
 The engine-side analog of the reference's "printed" fast path
 (``/root/reference/ocr_router.py:76-86``): instead of Tesseract over a
 binarized image, a text-density + link-density DOM heuristic
 (Readability/trafilatura-style) over markup.  Semantics are pinned by
 ``ollama_ocr_ray.spec``; the oracle implements the same contract with an
-explicit DOM tree walk.  This module never builds a tree: ``_Blocks``
-takes start/end/data events over a stack of open tags and a stack of
-open block frames, and scores each block when it closes.
+explicit DOM tree walk.  This module never builds a tree: ``_read`` keeps
+a stack of open tags and a list per open block, and scores each block
+when it closes.
 
-Events come from ``_tokenize``, one compiled regex that finds each
-``<`` and reads the construct there.  It keeps the ``HTMLParser``
-(``convert_charrefs=True``) events the heuristic reads:
+A token is one tuple ``(data, raw, tag, slash, end, rest)``: a data run
+as written in the markup (``&`` not yet unescaped), then at most one
+construct after it — a raw-text element (``raw``: ``script``/``style``,
+whose text is never read), a start tag (``tag``, ``slash`` ``"/"`` for
+``<x/>``), an end tag (``end``), or nothing (a comment, a doctype, the
+end of the input); ``rest`` holds the input the regex did not read
+(below).  Names keep their case; ``_read`` lower-cases them and
+unescapes only the runs that hold ``&``.
 
-- tag names are lower-cased;
-- each data run between two constructs is unescaped as a whole with
-  ``html.unescape``;
-- ``script``/``style`` content is raw text up to the first
-  ``</\\s*script\\s*>`` (case-insensitive), as in ``set_cdata_mode``;
-- ``<x .../>`` is a start-end tag and opens no element;
-- comments (up to the first ``--\\s*>``) and ``<!DOCTYPE ...>`` emit
-  nothing.
+Two sources give tokens:
 
-Attributes are matched, never parsed: the heuristic does not read them.
+- ``_fast_tokens``: one ``findall`` of ``_TOKEN``, a regex that reads
+  exactly the ``HTMLParser`` (``convert_charrefs=True``) events the
+  heuristic reads: raw text ends at the first ``</script\\s*>`` (any
+  ASCII case; an unclosed one runs to the end, as in ``HTMLParser``),
+  ``<x .../>`` opens no element, comments end at the first
+  ``--\\s*>``.  Attributes are matched, never parsed.
+- ``_fallback_tokens``: an ``HTMLParser`` whose handlers append the same
+  tuples (data re-escaped, raw text dropped).
 
 A run of text is joined to its block with a space, so how the data is
 cut into runs shows in the output (``HTMLParser`` gives ``a<1`` as
-three runs).  So the tokenizer takes only markup it can read exactly:
-at the first construct it does not accept (a ``<`` that starts no
-tag, an end tag with attributes, a tag outside its strict ASCII
-grammar, an unterminated comment or raw-text element, a processing
-instruction, a CDATA section or other ``<!...>`` declaration) the
-whole input is read again by ``_Fallback``, an ``HTMLParser`` whose
-handlers only forward to a fresh ``_Blocks``.
+three runs).  So the regex reads only markup it can read exactly: its
+last branch takes the rest of the input from the first construct it
+does not accept (a ``<`` that starts no tag, an end tag with
+attributes, a tag outside its strict ASCII grammar, an unterminated
+comment, a raw-text close with white space outside ``[ \\t\\n\\r\\f]``,
+a processing instruction, a CDATA section or other ``<!...>``
+declaration), and the whole input is then read by the fallback.  That
+branch also keeps the ``findall`` linear: every scan that runs to the
+end of the input and fails ends the token list, so no hostile page
+makes it rescan.
 """
 
 from __future__ import annotations
@@ -52,188 +61,148 @@ from ..spec import (
     collapse_ws,
 )
 
-
-class _Frame:
-    __slots__ = ("tag", "a_base", "parts", "links", "has_block_child")
-
-    def __init__(self, tag: str, a_base: int):
-        self.tag = tag
-        self.a_base = a_base            # open <a> tags outside this block
-        self.parts: list[str] = []
-        self.links: list[str] = []
-        self.has_block_child = False
-
-
-class _Blocks:
-    """Emits kept leaf blocks in document order from start/end/data
-    events.  ``stack`` mirrors the oracle's open-element path (pop to the
-    matching tag on close, ignore unmatched closes) so malformed nesting
-    behaves identically in both implementations."""
-
-    __slots__ = ("stack", "prune_depth", "a_depth", "frames", "out")
-
-    def __init__(self):
-        self.stack: list[str] = []      # open non-void tags
-        self.prune_depth = 0            # open tags that are in PRUNE_TAGS
-        self.a_depth = 0                # open <a> tags (outside prune)
-        self.frames: list[_Frame] = []  # open block elements (outside prune)
-        self.out: list[str] = []        # kept block texts, document order
-
-    def start(self, tag: str) -> None:
-        if tag in VOID_TAGS:
-            return
-        self.stack.append(tag)
-        if tag in PRUNE_TAGS:
-            self.prune_depth += 1
-        elif not self.prune_depth:
-            if tag == "a":
-                self.a_depth += 1
-            elif tag in BLOCK_TAGS:
-                if self.frames:
-                    self.frames[-1].has_block_child = True
-                self.frames.append(_Frame(tag, self.a_depth))
-
-    def startend(self, tag: str) -> None:
-        # an empty element opens nothing, but an empty block is still a
-        # block descendant of the enclosing block
-        if tag in BLOCK_TAGS and self.frames and not self.prune_depth:
-            self.frames[-1].has_block_child = True
-
-    def end(self, tag: str) -> None:
-        stack = self.stack
-        if tag not in stack:
-            return  # unmatched or void close tag: ignored, as in the oracle
-        while True:
-            top = stack.pop()
-            self._pop(top)
-            if top == tag:
-                return
-
-    def data(self, text: str) -> None:
-        if self.frames and not self.prune_depth:
-            top = self.frames[-1]
-            top.parts.append(text)
-            if self.a_depth > top.a_base:
-                top.links.append(text)
-
-    def close(self) -> list[str]:
-        while self.stack:
-            self._pop(self.stack.pop())
-        return self.out
-
-    # prune_depth and a_depth count tags on the stack, so a tag pops
-    # under the same prune state it was pushed under
-    def _pop(self, tag: str) -> None:
-        if tag in PRUNE_TAGS:
-            self.prune_depth -= 1
-        elif not self.prune_depth:
-            if tag == "a":
-                self.a_depth -= 1
-            elif tag in BLOCK_TAGS:
-                self._close_frame(self.frames.pop())
-
-    def _close_frame(self, frame: _Frame) -> None:
-        if frame.has_block_child:
-            return
-        text = collapse_ws(" ".join(frame.parts))
-        if not text:
-            return
-        link_text = collapse_ws(" ".join(frame.links))
-        if len(link_text) / len(text) > MAX_LINK_DENSITY:
-            return
-        if len(text) >= MIN_BLOCK_CHARS or frame.tag in HEADING_TAGS:
-            self.out.append(text)
-
-
-class _Fallback(HTMLParser):
-    """``HTMLParser`` events, forwarded to a ``_Blocks``."""
-
-    def __init__(self, blocks: _Blocks):
-        super().__init__(convert_charrefs=True)
-        self.blocks = blocks
-
-    def handle_starttag(self, tag, attrs):
-        self.blocks.start(tag)
-
-    def handle_startendtag(self, tag, attrs):
-        self.blocks.startend(tag)
-
-    def handle_endtag(self, tag):
-        self.blocks.end(tag)
-
-    def handle_data(self, data):
-        self.blocks.data(data)
-
-
-# Every branch starts at a "<"; the last, empty one marks a "<" that none
-# of the others reads (group 4), so the search never skips one.  The
-# whitespace class is HTMLParser's tag-name delimiters, not Unicode \s.
+# The whitespace class is HTMLParser's tag-name delimiters, not Unicode \s.
 _WS = r"[ \t\n\r\f]"
 _NAME = r"[a-zA-Z][-.:_a-zA-Z0-9]*"
-_ATTR = (r"[a-zA-Z_:][-.:_a-zA-Z0-9]*"
-         rf"(?:{_WS}*={_WS}*"
-         rf"""(?:"[^"]*"|'[^']*'|[^\s"'=<>`]+(?=[ \t\n\r\f>])))?""")
+_ATTRS = (rf"(?:{_WS}+[a-zA-Z_:][-.:_a-zA-Z0-9]*"
+          rf"(?:{_WS}*={_WS}*"
+          rf"""(?:"[^"]*"|'[^']*'|[^\s"'=<>`]+(?=[ \t\n\r\f>])))?)*{_WS}*""")
+# Raw text runs to where HTMLParser's end tag would close it (Unicode \s
+# around an ASCII-case name: a case-folded "ſ" does not), or to the end
+# of the input; the next token reads that end tag, or sends the page to
+# the fallback.  Possessive, so a long raw text is one linear scan.
 _TOKEN = re.compile(
-    rf"<(?:({_NAME})(?:{_WS}+{_ATTR})*{_WS}*(/?)>"   # 1 tag, 2 self-close
-    rf"|/{_WS}*({_NAME}){_WS}*>"                      # 3 end tag
-    r"|!--.*?--\s*>"                                  # comment
-    r"|![dD][oO][cC][tT][yY][pP][eE][^>]*>"           # doctype
-    r"|())",                                          # 4 not read here
+    r"([^<]*)(?:<(?:"                                         # 1 data
+    rf"([sS][cC][rR][iI][pP][tT]|[sS][tT][yY][lL][eE]){_ATTRS}>"  # 2 raw
+    r"[^<]*+(?:<(?!/\s*(?ai:\2)\s*>)[^<]*+)*+"
+    rf"|({_NAME}){_ATTRS}(/?)>"                               # 3 tag, 4 /
+    rf"|/{_WS}*({_NAME}){_WS}*>"                              # 5 end tag
+    r"|!--.*?--\s*>"                                          # comment
+    r"|![dD][oO][cC][tT][yY][pP][eE][^>]*>"                   # doctype
+    r")|(<.*)|\Z)",                                           # 6 not read
     re.S,
 )
-_RAWTEXT_END = {
-    tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
-    for tag in HTMLParser.CDATA_CONTENT_ELEMENTS
-}
+# Pops every open tag: the bottom of ``_read``'s stack.
+_ROOT = "/"
+_CLOSE_ALL = ("", "", "", "", _ROOT, "")
 
 
-def _tokenize(markup: str, blocks: _Blocks) -> bool:
-    """Feed ``blocks`` the events ``HTMLParser`` gives for ``markup``.
-    False at the first construct this tokenizer does not read, with
-    ``blocks`` part-fed."""
-    search = _TOKEN.search
-    data = blocks.data
-    pos = 0
-    while True:
-        m = search(markup, pos)
-        if m is None:
-            if pos < len(markup):
-                data(unescape(markup[pos:]))
-            return True
-        i = m.start()
-        if i > pos:
-            data(unescape(markup[pos:i]))
-        pos = m.end()
-        kind = m.lastindex
-        if kind == 2:
-            tag = m.group(1).lower()
-            if m.group(2):
-                blocks.startend(tag)
-                continue
-            blocks.start(tag)
-            raw_end = _RAWTEXT_END.get(tag)
-            if raw_end is not None:
-                e = raw_end.search(markup, pos)
-                # HTMLParser ends raw text only where the ASCII end-tag
-                # pattern also matches: a case-folded "ſ" does not count
-                if e is None or not e.group().isascii():
-                    return False
-                if e.start() > pos:
-                    data(markup[pos:e.start()])
-                blocks.end(tag)
-                pos = e.end()
-        elif kind == 3:
-            blocks.end(m.group(3).lower())
-        elif kind == 4:
-            return False
+def _fast_tokens(markup: str) -> list[tuple] | None:
+    """The tokens of ``markup``, or None where the regex cannot read it."""
+    tokens = _TOKEN.findall(markup)
+    # the "not read" branch takes the rest (the last field), so it is
+    # the last match before the empty one at the end of the input
+    if len(tokens) > 1 and tokens[-2][-1]:
+        return None
+    return tokens
+
+
+class _Tokens(HTMLParser):
+    """``HTMLParser`` events as tokens, each construct on its own."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.tokens: list[tuple] = []
+
+    def handle_starttag(self, tag, attrs):
+        if tag in self.CDATA_CONTENT_ELEMENTS:
+            self.tokens.append(("", tag, "", "", "", ""))
+        else:
+            self.tokens.append(("", "", tag, "", "", ""))
+
+    def handle_startendtag(self, tag, attrs):
+        self.tokens.append(("", "", tag, "/", "", ""))
+
+    def handle_endtag(self, tag):
+        self.tokens.append(("", "", "", "", tag, ""))
+
+    def handle_data(self, data):
+        if self.cdata_elem is None:
+            self.tokens.append((data.replace("&", "&amp;"), "", "", "", "",
+                                ""))
+
+
+def _fallback_tokens(markup: str) -> list[tuple]:
+    parser = _Tokens()
+    parser.feed(markup)
+    parser.close()
+    return parser.tokens
+
+
+def _read(tokens: list[tuple]) -> list[str]:
+    """Kept leaf blocks in document order.  ``stack`` mirrors the
+    oracle's open-element path (pop to the matching tag on close, ignore
+    unmatched closes), so malformed nesting reads the same in both."""
+    out: list[str] = []
+    stack = [_ROOT]     # open non-void tags
+    prune = a = 0       # open tags in PRUNE_TAGS; open <a> outside prune
+    # open blocks outside prune: [tag or None once it has a block child,
+    # open <a> outside it, its runs, its runs inside <a>]
+    blocks: list[list] = []
+    parts = links = None    # the innermost open block's lists
+    a_base = 0
+    for data, raw, tag, slash, end, _rest in tokens + [_CLOSE_ALL]:
+        if data and parts is not None and not prune:
+            if "&" in data:
+                data = unescape(data)
+            parts.append(data)
+            if a > a_base:
+                links.append(data)
+        if tag:
+            tag = tag.lower()
+            if slash:
+                # an empty block opens nothing, but is still a block
+                # descendant of the enclosing block
+                if blocks and not prune and tag in BLOCK_TAGS:
+                    blocks[-1][0] = None
+            elif tag not in VOID_TAGS:
+                stack.append(tag)
+                if tag in PRUNE_TAGS:
+                    prune += 1
+                elif not prune:
+                    if tag == "a":
+                        a += 1
+                    elif tag in BLOCK_TAGS:
+                        if blocks:
+                            blocks[-1][0] = None
+                        parts, links, a_base = [], [], a
+                        blocks.append([tag, a, parts, links])
+        elif end:
+            end = end.lower()
+            if stack[-1] != end and end not in stack:
+                continue  # unmatched or void close tag: ignored
+            # a tag pops under the prune state it was pushed under
+            while True:
+                top = stack.pop()
+                if top in PRUNE_TAGS:
+                    prune -= 1
+                elif not prune:
+                    if top == "a":
+                        a -= 1
+                    elif top in BLOCK_TAGS:
+                        btag, _, bparts, blinks = blocks.pop()
+                        if btag is not None:
+                            text = collapse_ws(" ".join(bparts))
+                            if text and (
+                                    len(collapse_ws(" ".join(blinks)))
+                                    / len(text) <= MAX_LINK_DENSITY) and (
+                                    len(text) >= MIN_BLOCK_CHARS
+                                    or btag in HEADING_TAGS):
+                                out.append(text)
+                        if blocks:
+                            _, a_base, parts, links = blocks[-1]
+                        else:
+                            parts = None
+                if top == end:
+                    break
+        elif raw:
+            # script/style, both in PRUNE_TAGS: the next token is its end
+            # tag or the end of the input
+            stack.append(raw.lower())
+            prune += 1
+    return out
 
 
 def extract_html_stage(markup: str) -> list[str]:
     """markup → kept main-content block texts, document order."""
-    blocks = _Blocks()
-    if not _tokenize(markup, blocks):
-        blocks = _Blocks()
-        parser = _Fallback(blocks)
-        parser.feed(markup)
-        parser.close()
-    return blocks.close()
+    return _read(_fast_tokens(markup) or _fallback_tokens(markup))

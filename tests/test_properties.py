@@ -128,8 +128,10 @@ def test_parsers_match_oracle_on_random_payloads(payload):
 
 # Markup that real and hostile pages mix: tags of every class in both
 # cases, empty and void elements, links around blocks, attributes
-# holding ">", comments and declarations, charrefs, stray "<" and
-# malformed end tags, and words long enough to keep a block.
+# holding ">" or "<", comments and declarations, charrefs, stray "<"
+# and malformed end tags, raw-text closes in another case and a
+# non-ASCII lookalike close ("\u017f" folds to "s" under re.I), and words
+# long enough to keep a block.
 _MARKUP_TOKENS = (
     "<p>", "</p>", "<P>", "</P>", "<li>", "</li>", "<td>", "</td>",
     "<h2>", "</H2>", "<blockquote>", "</blockquote>", "<pre>", "</pre>",
@@ -140,6 +142,7 @@ _MARKUP_TOKENS = (
     '<span title="a>b">', "<img alt='x>y'>", "<!-- a <p> comment -->",
     "<!DOCTYPE html>", "<?pi?>", "<![CDATA[x<y]]>", "&amp;", "&#39;",
     "&bogus;", "&", " a < b ", "<1", "</ p>", "</P >", "</p class=x>",
+    "<script>x</SCRIPT>y</script>", "</\u017fcript>", '<a title="x<y">',
     "\n", " ", "tiny", "some words",
     "a sentence that is long enough to pass the size filter",
 )
@@ -167,61 +170,67 @@ _TOKENIZER_TOKENS = (
     "<span title='a>b' id=\"c\">", "<br>", "<x-y:z>", "</x-y:z>",
     "<!-- c -- >", "<!---->", "<!DOCTYPE html>", "<!doctype>",
     "<script>if (a <b && c) s = '&amp;</p>'</script >",
-    "<STYLE>p{}</StYlE>", "<script/>", "&amp;", "&#39;", "&bogus;", "&",
-    "\n", "words",
+    "<STYLE>p{}</StYlE>", "<script/>", "<script>x</SCRIPT>y</script>",
+    "<script>a</\u017fcript>b</script>", '<a title="x<y">', "<style>p{",
+    "&amp;", "&#39;", "&bogus;", "&", "\n", "words",
 )
+
+
+def _events(tokens):
+    """Tokens as the block-state loop reads them: each data run
+    unescaped where it holds "&", each name lower-cased; tokens that
+    carry neither (an empty run before a comment) read as nothing."""
+    from html import unescape
+
+    out = []
+    for data, raw, tag, slash, end, rest in tokens:
+        assert not rest
+        if data:
+            out.append(("data", unescape(data) if "&" in data else data))
+        if raw:
+            out.append(("raw", raw.lower()))
+        if tag:
+            out.append(("startend" if slash else "start", tag.lower()))
+        if end:
+            out.append(("end", end.lower()))
+    return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(toks=st.lists(st.sampled_from(_TOKENIZER_TOKENS), max_size=30))
 def test_html_tokenizer_events_match_htmlparser(toks):
-    """The tokenizer reads these constructs without falling back, and
-    gives exactly HTMLParser's start/start-end/end/data events."""
-    from html.parser import HTMLParser
-
-    from ollama_ocr_ray.stages.html_extract import _tokenize
-
-    class Events(list):
-        def start(self, tag):
-            self.append(("start", tag))
-
-        def startend(self, tag):
-            self.append(("startend", tag))
-
-        def end(self, tag):
-            self.append(("end", tag))
-
-        def data(self, text):
-            self.append(("data", text))
-
-    class Recorder(HTMLParser):
-        def __init__(self, events):
-            super().__init__(convert_charrefs=True)
-            self.handle_starttag = lambda tag, _: events.start(tag)
-            self.handle_startendtag = lambda tag, _: events.startend(tag)
-            self.handle_endtag = events.end
-            self.handle_data = events.data
+    """The regex source reads these constructs without falling back, and
+    its tokens give exactly the events of the HTMLParser source's tokens
+    (HTMLParser's own start/start-end/end/data events; raw text, which
+    only a pruned element holds, is dropped by both)."""
+    from ollama_ocr_ray.stages.html_extract import (_fallback_tokens,
+                                                    _fast_tokens)
 
     markup = "".join(toks)
-    fast, want = Events(), Events()
-    assert _tokenize(markup, fast)
-    parser = Recorder(want)
-    parser.feed(markup)
-    parser.close()
-    assert fast == want
+    fast = _fast_tokens(markup)
+    assert fast is not None
+    assert _events(fast) == _events(_fallback_tokens(markup))
 
 
 def test_html_tokenizer_reads_synthetic_pages_without_fallback():
-    """Every synthesized page takes the tokenizer's fast path: a
-    grammar change that sent them to the HTMLParser fallback would keep
-    the output and quietly lose the speed."""
+    """Every synthesized page, and every HTML span of the benchmark's
+    corpora (one seed per workload), takes the regex source: a grammar
+    change that sent them to the HTMLParser fallback would keep the
+    output and quietly lose the speed."""
     import random
 
-    from ollama_ocr_ray.stages.html_extract import _Blocks, _tokenize
+    from perfbench import corpus
+    from ollama_ocr_ray.stages.html_extract import _fast_tokens
 
     for seed in range(200):
         page = synth._html_payload(random.Random(seed))
-        assert _tokenize(page, _Blocks()), seed
+        assert _fast_tokens(page) is not None, seed
+    for workload in corpus.SHAPES:
+        pages = [span["text"] for row in corpus.make_rows(workload, 7)
+                 for span in row["spans"] if span["kind"] == "html"]
+        assert pages, workload
+        for i, page in enumerate(pages):
+            assert _fast_tokens(page) is not None, (workload, i)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ independently-written oracle on random payloads (SURVEY.md §5.2.1/5).
 """
 
 import random
+import time
 
 import pyarrow as pa
 import pytest
@@ -76,6 +77,42 @@ def test_html_stage_matches_oracle_random():
     for _ in range(200):
         m = synth._html_payload(rng)
         assert extract_html_stage(m) == oracle.extract_html(m)
+
+
+def test_html_deep_nest_matches_oracle():
+    """50,000 nested <div>s: neither side recurses per level."""
+    m = "<div>" * 50_000 + "<p>" + "deeply nested words " * 3 + "</p>"
+    assert extract_html_stage(m) == oracle.extract_html(m) == [
+        "deeply nested words deeply nested words deeply nested words"]
+
+
+def _best_time(fn, markup, reps=3):
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        out = fn(markup)
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def test_html_hostile_pages_read_in_one_pass():
+    """Pages on which a tokenizer that rescans from every "<" turns
+    quadratic.  20,000 unclosed <script> tags: the regex reads them in
+    one pass (the first one's raw text runs to the end, as in
+    HTMLParser), where a rescan takes over 10 s.  7,000 unclosed
+    comments go to the HTMLParser fallback, which is itself quadratic
+    on them (the oracle as well): the stage may add no rescan of its
+    own to that cost, where one would triple it."""
+    script = "<p>" + "<script>" * 20_000
+    out, secs = _best_time(extract_html_stage, script)
+    assert out == oracle.extract_html(script) == []
+    assert secs < 1.0, secs
+
+    comments = "<p>" + "<!--" * 7_000
+    out, secs = _best_time(extract_html_stage, comments)
+    want, oracle_secs = _best_time(oracle.extract_html, comments)
+    assert out == want
+    assert secs < 2 * oracle_secs + 0.05, (secs, oracle_secs)
 
 
 # --- PDF --------------------------------------------------------------------
